@@ -19,21 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from scipy import integrate
-
 from twisim.core import (
-    Constant,
     Duration,
-    Empirical,
     ParameterError,
-    ShiftedExponential,
     TimePoint,
     TransmissionTimeModel,
-    TwoPoint,
-    UniformRange,
     ensure_duration,
     ensure_time,
-    validate_model,
 )
 
 
@@ -187,31 +179,6 @@ def _phase_averaged_ramp(a: float, period: float, w: float) -> float:
     return (antiderivative(a + period) - antiderivative(a)) / period
 
 
-def _expect_over_model(model: TransmissionTimeModel, fn) -> float:
-    """E[fn(T)] for T ~ model, by atom sums or adaptive quadrature."""
-    validate_model(model)
-    if isinstance(model, Constant):
-        return fn(model.value)
-    if isinstance(model, TwoPoint):
-        return model.p_a * fn(model.value_a) + (1.0 - model.p_a) * fn(model.value_b)
-    if isinstance(model, Empirical):
-        return sum(fn(v) for v in model.values) / len(model.values)
-    if isinstance(model, UniformRange):
-        if model.high == model.low:
-            return fn(model.low)
-        val, _ = integrate.quad(fn, model.low, model.high, limit=200)
-        return val / (model.high - model.low)
-    # ShiftedExponential: integrate the excess over an effectively full tail
-    rate = model.rate
-    upper = model.shift + 50.0 / rate
-
-    def weighted(x: float) -> float:
-        return fn(x) * rate * math.exp(-rate * (x - model.shift))
-
-    val, _ = integrate.quad(weighted, model.shift, upper, limit=200)
-    return val
-
-
 def expected_cv_two_input(
     p: TwoInputParams,
     model: TransmissionTimeModel,
@@ -241,4 +208,4 @@ def expected_cv_two_input(
 
     else:
         raise ParameterError(f"unknown cause direction: {cause!r}")
-    return _expect_over_model(model, inner)
+    return model.expect(inner)

@@ -23,6 +23,7 @@ from twisim.core import (
     sample,
     validate_model,
 )
+from twisim.mc import _map_chunks
 
 
 def _check_probs(pairwise: Sequence[float]) -> list[float]:
@@ -123,21 +124,16 @@ def verify_ordering_lemma(
     if trials < 1:
         raise ParameterError("trials must be >= 1")
 
-    chunk = 1 << 16
-    n_cond = 0
-    n_cond_ok = 0
-    n_ok = 0
-    for c, start in enumerate(range(0, trials, chunk)):
-        count = min(chunk, trials - start)
+    def work(c: int, count: int):
         rng = chunk_rng(seed, c)
         t1 = sample(models[0], rng, count)
         t2 = sample(models[1], rng, count)
         t3 = sample(models[2], rng, count)
         cond = t1 <= t2
         ok = t2 <= t3
-        n_cond += int(cond.sum())
-        n_cond_ok += int((cond & ok).sum())
-        n_ok += int(ok.sum())
+        return int(cond.sum()), int((cond & ok).sum()), int(ok.sum())
+
+    n_cond, n_cond_ok, n_ok = (sum(col) for col in zip(*_map_chunks(work, trials, 1)))
 
     rhs = n_ok / trials
     rhs_se = math.sqrt(max(rhs * (1.0 - rhs), 0.0) / trials)

@@ -68,6 +68,8 @@ def _load(args) -> ExperimentConfig:
 
     overrides = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         overrides["seed"] = args.seed
     if args.trials is not None:
         if args.trials < 1:

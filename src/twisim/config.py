@@ -8,19 +8,10 @@ offending field path; defaults are filled in so minimal configs stay small.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Optional, Union
 
-from twisim.core import (
-    Constant,
-    Empirical,
-    ParameterError,
-    ShiftedExponential,
-    TransmissionTimeModel,
-    TwoPoint,
-    UniformRange,
-    validate_model,
-)
+from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import CausalChainScenario, FanOutScenario, LinkInput
 from twisim.twi import TwiSpec
@@ -52,65 +43,43 @@ def _as_number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _as_int(value: Any, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    if value < minimum:
+        _fail(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Transmission-time models
 # ---------------------------------------------------------------------------
 
-
-def _validated(model: TransmissionTimeModel) -> TransmissionTimeModel:
-    validate_model(model)
-    return model
+# Model fields a config may omit beyond those with a default in the class.
+_MODEL_FIELD_DEFAULTS = {"shift": 0.0}
 
 
 def model_from_dict(obj: Any, path: str = "model") -> TransmissionTimeModel:
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {obj!r}")
     kind = _require(obj, "kind", path)
-    try:
-        if kind == "constant":
-            return _validated(Constant(_as_number(_require(obj, "value", path), f"{path}.value")))
-        if kind == "uniform":
-            return _validated(
-                UniformRange(
-                    _as_number(_require(obj, "low", path), f"{path}.low"),
-                    _as_number(_require(obj, "high", path), f"{path}.high"),
-                )
-            )
-        if kind == "shifted_exponential":
-            return _validated(
-                ShiftedExponential(
-                    _as_number(obj.get("shift", 0.0), f"{path}.shift"),
-                    _as_number(_require(obj, "rate", path), f"{path}.rate"),
-                )
-            )
-        if kind == "two_point":
-            return _validated(
-                TwoPoint(
-                    _as_number(_require(obj, "value_a", path), f"{path}.value_a"),
-                    _as_number(_require(obj, "value_b", path), f"{path}.value_b"),
-                    _as_number(obj.get("p_a", 0.5), f"{path}.p_a"),
-                )
-            )
-        if kind == "empirical":
-            values = _require(obj, "values", path)
-            if not isinstance(values, list) or not values:
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        _fail(f"{path}.kind", f"unknown model kind {kind!r}")
+    args = []
+    for f in fields(cls):
+        default = _MODEL_FIELD_DEFAULTS.get(f.name, f.default)
+        value = _require(obj, f.name, path) if default is MISSING else obj.get(f.name, default)
+        if f.name == "values":
+            if not isinstance(value, list) or not value:
                 _fail(f"{path}.values", "expected a nonempty list")
-            return _validated(Empirical(tuple(_as_number(v, f"{path}.values") for v in values)))
+            args.append(tuple(_as_number(v, f"{path}.values") for v in value))
+        else:
+            args.append(_as_number(value, f"{path}.{f.name}"))
+    try:
+        return cls(*args)
     except ParameterError as exc:
         _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown model kind {kind!r}")
-
-
-def model_to_dict(model: TransmissionTimeModel) -> dict:
-    if isinstance(model, Constant):
-        return {"kind": "constant", "value": model.value}
-    if isinstance(model, UniformRange):
-        return {"kind": "uniform", "low": model.low, "high": model.high}
-    if isinstance(model, ShiftedExponential):
-        return {"kind": "shifted_exponential", "shift": model.shift, "rate": model.rate}
-    if isinstance(model, TwoPoint):
-        return {"kind": "two_point", "value_a": model.value_a, "value_b": model.value_b, "p_a": model.p_a}
-    return {"kind": "empirical", "values": list(model.values)}
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +105,7 @@ def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
                 t_s=_as_number(_require(obj, "t_s", path), f"{path}.t_s"),
                 tau_s=_as_number(obj.get("tau_s", 0.0), f"{path}.tau_s"),
                 mode=SensorMode(mode),
-                d_s=int(obj.get("d_s", 1)),
+                d_s=_as_int(obj.get("d_s", 1), f"{path}.d_s", 1),
                 sensor_id=obj.get("sensor_id"),
             )
     except ParameterError as exc:
@@ -146,7 +115,7 @@ def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
 
 def _input_to_dict(inp: Union[LinkInput, SensorSpec]) -> dict:
     if isinstance(inp, LinkInput):
-        return {"type": "link", "model": model_to_dict(inp.model), "delay": inp.delay}
+        return {"type": "link", "model": inp.model.to_dict(), "delay": inp.delay}
     out = {
         "type": "sensor",
         "t_s": inp.t_s,
@@ -205,13 +174,9 @@ def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
     if kind not in KINDS:
         _fail(f"{path}.kind", f"expected one of {KINDS}, got {kind!r}")
 
-    trials = int(obj.get("trials", DEFAULT_TRIALS))
-    if trials < 1:
-        _fail(f"{path}.trials", f"must be >= 1, got {trials}")
-    threads = int(obj.get("threads", 1))
-    if threads < 1:
-        _fail(f"{path}.threads", f"must be >= 1, got {threads}")
-    seed = int(obj.get("seed", DEFAULT_SEED))
+    trials = _as_int(obj.get("trials", DEFAULT_TRIALS), f"{path}.trials", 1)
+    threads = _as_int(obj.get("threads", 1), f"{path}.threads", 1)
+    seed = _as_int(obj.get("seed", DEFAULT_SEED), f"{path}.seed", 0)
 
     twi = _twi_from_dict(obj["twi"], f"{path}.twi") if "twi" in obj else None
     if twi is None and kind in ("chain_sim", "fanout_sim", "bounds_check"):

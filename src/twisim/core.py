@@ -2,16 +2,19 @@
 
 Times and durations are nonnegative floats in seconds.  Transmission times over
 a digital link are opaque random variables with bounded nonnegative support;
-no channel or queueing model is attached to them.
+no channel or queueing model is attached to them.  Each model checks its
+parameters once, when it is built, and carries its own maths: support, mean,
+tail, Laplace transform, expectations and sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
+from scipy import integrate
 
 TimePoint = float
 Duration = float
@@ -38,152 +41,296 @@ def ensure_time(value: float, name: str = "time") -> float:
 # ---------------------------------------------------------------------------
 
 
+def _as_draws(out, size: Optional[int]):
+    return float(out) if size is None else np.asarray(out, dtype=float)
+
+
+class _Model:
+    """What every transmission-time model provides.
+
+    Models are frozen dataclasses that check their parameters once, in
+    ``__post_init__``.  ``mean``, ``tail``, ``laplace`` and ``clamped_ratio``
+    default to ``expect`` over the matching function, which is exact for the
+    finitely supported models; continuous models override them with closed
+    forms.  ``sample`` draws a fixed count per (model, size) so that streams
+    replay bit-identically.
+    """
+
+    kind: ClassVar[str]  # the model's name in configs
+
+    def support(self) -> tuple[float, float]:
+        """Tight support bounds (t_min, t_max); t_max may be +inf."""
+        raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        """A float for size=None, else an ndarray of ``size`` draws."""
+        raise NotImplementedError
+
+    def expect(self, fn: Callable[[float], float]) -> float:
+        """E[fn(T)], by atom sums or adaptive quadrature."""
+        raise NotImplementedError
+
+    def mean(self) -> float:
+        return self.expect(lambda t: t)
+
+    def tail(self, w: float) -> float:
+        """Pr[T > w]."""
+        return self.expect(lambda t: 1.0 if t > w else 0.0)
+
+    def laplace(self, lam: float) -> float:
+        """E[exp(-lam * T)] for lam >= 0."""
+        return self.expect(lambda t: math.exp(-lam * t))
+
+    def clamped_ratio(self, w: float) -> float:
+        """E[min(T / w, 1)] for w > 0."""
+        return self.expect(lambda t: min(t / w, 1.0))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Model):
     value: float
 
+    kind = "constant"
+
+    def __post_init__(self) -> None:
+        ensure_duration(self.value, "Constant.value")
+
+    def support(self) -> tuple[float, float]:
+        return self.value, self.value
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        return self.value if size is None else np.full(size, self.value)
+
+    def expect(self, fn: Callable[[float], float]) -> float:
+        return fn(self.value)
+
 
 @dataclass(frozen=True)
-class UniformRange:
+class UniformRange(_Model):
     low: float
     high: float
 
+    kind = "uniform"
+
+    def __post_init__(self) -> None:
+        low = ensure_duration(self.low, "UniformRange.low")
+        high = ensure_duration(self.high, "UniformRange.high")
+        if low > high:
+            raise ParameterError(f"UniformRange requires low <= high, got ({low}, {high})")
+
+    def support(self) -> tuple[float, float]:
+        return self.low, self.high
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        return _as_draws(rng.uniform(self.low, self.high, size=size), size)
+
+    def expect(self, fn: Callable[[float], float]) -> float:
+        if self.high == self.low:
+            return fn(self.low)
+        val, _ = integrate.quad(fn, self.low, self.high, limit=200)
+        return val / (self.high - self.low)
+
+    def mean(self) -> float:
+        return 0.5 * (self.low + self.high)
+
+    def tail(self, w: float) -> float:
+        if w < self.low:
+            return 1.0
+        if w >= self.high:
+            return 0.0
+        return (self.high - w) / (self.high - self.low)
+
+    def laplace(self, lam: float) -> float:
+        if self.high == self.low or lam == 0.0:
+            return math.exp(-lam * self.low) if lam else 1.0
+        return (math.exp(-lam * self.low) - math.exp(-lam * self.high)) / (
+            lam * (self.high - self.low)
+        )
+
+    def clamped_ratio(self, w: float) -> float:
+        a, b = self.low, self.high
+        if b == a:
+            return min(a / w, 1.0)
+        if b <= w:
+            return (a + b) / (2.0 * w)
+        if a >= w:
+            return 1.0
+        ramp = (w * w - a * a) / (2.0 * w)  # integral of t/w over [a, w)
+        return (ramp + (b - w)) / (b - a)
+
 
 @dataclass(frozen=True)
-class ShiftedExponential:
+class ShiftedExponential(_Model):
     shift: float
     rate: float
 
+    kind = "shifted_exponential"
+
+    def __post_init__(self) -> None:
+        ensure_duration(self.shift, "ShiftedExponential.shift")
+        rate = float(self.rate)
+        if not math.isfinite(rate) or rate <= 0.0:
+            raise ParameterError(f"ShiftedExponential.rate must be > 0, got {rate!r}")
+
+    def support(self) -> tuple[float, float]:
+        return self.shift, math.inf
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        return _as_draws(self.shift + rng.exponential(1.0 / self.rate, size=size), size)
+
+    def expect(self, fn: Callable[[float], float]) -> float:
+        # integrate the excess over an effectively full tail
+        rate = self.rate
+        upper = self.shift + 50.0 / rate
+
+        def weighted(x: float) -> float:
+            return fn(x) * rate * math.exp(-rate * (x - self.shift))
+
+        val, _ = integrate.quad(weighted, self.shift, upper, limit=200)
+        return val
+
+    def mean(self) -> float:
+        return self.shift + 1.0 / self.rate
+
+    def tail(self, w: float) -> float:
+        if w < self.shift:
+            return 1.0
+        return math.exp(-self.rate * (w - self.shift))
+
+    def laplace(self, lam: float) -> float:
+        return math.exp(-lam * self.shift) * self.rate / (self.rate + lam)
+
+    def clamped_ratio(self, w: float) -> float:
+        # T = shift + X, X ~ Exp(rate)
+        if self.shift >= w:
+            return 1.0
+        rate = self.rate
+        m = w - self.shift
+        decay = math.exp(-rate * m)
+        ramp = (self.shift * (1.0 - decay) + (1.0 - decay) / rate - m * decay) / w
+        return ramp + decay
+
 
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(_Model):
     """Takes ``value_a`` with probability ``p_a``, else ``value_b``."""
 
     value_a: float
     value_b: float
     p_a: float = 0.5
 
+    kind = "two_point"
+
+    def __post_init__(self) -> None:
+        ensure_duration(self.value_a, "TwoPoint.value_a")
+        ensure_duration(self.value_b, "TwoPoint.value_b")
+        p = float(self.p_a)
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError(f"TwoPoint.p_a must be in [0, 1], got {p!r}")
+
+    def support(self) -> tuple[float, float]:
+        if self.p_a == 0.0:
+            return self.value_b, self.value_b
+        if self.p_a == 1.0:
+            return self.value_a, self.value_a
+        return min(self.value_a, self.value_b), max(self.value_a, self.value_b)
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        u = rng.random(size=size)
+        return _as_draws(np.where(u < self.p_a, self.value_a, self.value_b), size)
+
+    def expect(self, fn: Callable[[float], float]) -> float:
+        return self.p_a * fn(self.value_a) + (1.0 - self.p_a) * fn(self.value_b)
+
 
 @dataclass(frozen=True)
-class Empirical:
-    """Replays a measured trace; sampling draws uniformly from the values."""
+class Empirical(_Model):
+    """Replays a measured trace; sampling draws uniformly from the values.
+
+    ``array`` holds the same values as a read-only float64 array; it backs
+    sampling, ``mean``, ``tail`` and ``laplace``, and is not compared.
+    """
 
     values: tuple[float, ...]
+
+    kind = "empirical"
+
+    def __post_init__(self) -> None:
+        values = tuple(self.values)
+        if not values:
+            raise ParameterError("Empirical requires at least one value")
+        array = np.array(values, dtype=np.float64)
+        bad = ~(np.isfinite(array) & (array >= 0.0))
+        if bad.any():
+            ensure_duration(values[int(bad.argmax())], "Empirical value")
+        array.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "array", array)
+
+    def support(self) -> tuple[float, float]:
+        return min(self.values), max(self.values)
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        idx = rng.integers(0, len(self.array), size=size)
+        return _as_draws(self.array[idx], size)
+
+    def expect(self, fn: Callable[[float], float]) -> float:
+        return sum(fn(v) for v in self.values) / len(self.values)
+
+    def mean(self) -> float:
+        return float(np.mean(self.array))
+
+    def tail(self, w: float) -> float:
+        return float(np.mean(self.array > w))
+
+    def laplace(self, lam: float) -> float:
+        return float(np.mean(np.exp(-lam * self.array)))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "values": list(self.values)}
 
 
 TransmissionTimeModel = Union[Constant, UniformRange, ShiftedExponential, TwoPoint, Empirical]
 
+MODEL_KINDS: dict[str, type] = {
+    cls.kind: cls for cls in (Constant, UniformRange, ShiftedExponential, TwoPoint, Empirical)
+}
+
 
 def validate_model(model: TransmissionTimeModel) -> None:
-    """Check model invariants; raises ParameterError on violation."""
-    if isinstance(model, Constant):
-        ensure_duration(model.value, "Constant.value")
-    elif isinstance(model, UniformRange):
-        low = ensure_duration(model.low, "UniformRange.low")
-        high = ensure_duration(model.high, "UniformRange.high")
-        if low > high:
-            raise ParameterError(f"UniformRange requires low <= high, got ({low}, {high})")
-    elif isinstance(model, ShiftedExponential):
-        ensure_duration(model.shift, "ShiftedExponential.shift")
-        rate = float(model.rate)
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise ParameterError(f"ShiftedExponential.rate must be > 0, got {rate!r}")
-    elif isinstance(model, TwoPoint):
-        ensure_duration(model.value_a, "TwoPoint.value_a")
-        ensure_duration(model.value_b, "TwoPoint.value_b")
-        p = float(model.p_a)
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"TwoPoint.p_a must be in [0, 1], got {p!r}")
-    elif isinstance(model, Empirical):
-        if len(model.values) == 0:
-            raise ParameterError("Empirical requires at least one value")
-        for v in model.values:
-            ensure_duration(v, "Empirical value")
-    else:
+    """Reject anything that is not a transmission-time model.
+
+    Models check their own parameters when they are built, so this is a type
+    check for models handed in by a caller.
+    """
+    if not isinstance(model, _Model):
         raise ParameterError(f"unknown transmission-time model: {model!r}")
 
 
 def support(model: TransmissionTimeModel) -> tuple[float, float]:
     """Tight support bounds (t_min, t_max); t_max may be +inf."""
-    validate_model(model)
-    if isinstance(model, Constant):
-        return model.value, model.value
-    if isinstance(model, UniformRange):
-        return model.low, model.high
-    if isinstance(model, ShiftedExponential):
-        return model.shift, math.inf
-    if isinstance(model, TwoPoint):
-        lo = min(model.value_a, model.value_b)
-        hi = max(model.value_a, model.value_b)
-        if model.p_a == 0.0:
-            lo = hi = model.value_b
-        elif model.p_a == 1.0:
-            lo = hi = model.value_a
-        return lo, hi
-    return min(model.values), max(model.values)
+    return model.support()
 
 
 def mean(model: TransmissionTimeModel) -> float:
     """Analytic expectation of the model."""
-    validate_model(model)
-    if isinstance(model, Constant):
-        return model.value
-    if isinstance(model, UniformRange):
-        return 0.5 * (model.low + model.high)
-    if isinstance(model, ShiftedExponential):
-        return model.shift + 1.0 / model.rate
-    if isinstance(model, TwoPoint):
-        return model.p_a * model.value_a + (1.0 - model.p_a) * model.value_b
-    return float(np.mean(model.values))
+    return model.mean()
 
 
 def tail_probability(model: TransmissionTimeModel, w: float) -> float:
     """Exact Pr[T > w] under the model."""
-    validate_model(model)
-    w = float(w)
-    if isinstance(model, Constant):
-        return 1.0 if model.value > w else 0.0
-    if isinstance(model, UniformRange):
-        if w < model.low:
-            return 1.0
-        if w >= model.high:
-            return 0.0
-        return (model.high - w) / (model.high - model.low)
-    if isinstance(model, ShiftedExponential):
-        if w < model.shift:
-            return 1.0
-        return math.exp(-model.rate * (w - model.shift))
-    if isinstance(model, TwoPoint):
-        p = 0.0
-        if model.value_a > w:
-            p += model.p_a
-        if model.value_b > w:
-            p += 1.0 - model.p_a
-        return p
-    return float(np.mean(np.asarray(model.values) > w))
+    return model.tail(float(w))
 
 
 def laplace_transform(model: TransmissionTimeModel, lam: float) -> float:
     """E[exp(-lam * T)]; analytic except for Empirical (exact sample average)."""
-    validate_model(model)
     lam = float(lam)
     if lam < 0.0:
         raise ParameterError(f"lam must be >= 0, got {lam!r}")
-    if isinstance(model, Constant):
-        return math.exp(-lam * model.value)
-    if isinstance(model, UniformRange):
-        if model.high == model.low or lam == 0.0:
-            return math.exp(-lam * model.low) if lam else 1.0
-        return (math.exp(-lam * model.low) - math.exp(-lam * model.high)) / (
-            lam * (model.high - model.low)
-        )
-    if isinstance(model, ShiftedExponential):
-        return math.exp(-lam * model.shift) * model.rate / (model.rate + lam)
-    if isinstance(model, TwoPoint):
-        return model.p_a * math.exp(-lam * model.value_a) + (1.0 - model.p_a) * math.exp(
-            -lam * model.value_b
-        )
-    return float(np.mean(np.exp(-lam * np.asarray(model.values))))
+    return model.laplace(lam)
 
 
 def sample(
@@ -196,25 +343,7 @@ def sample(
     The draw count per call is fixed by (model, size) so that streams replay
     bit-identically.
     """
-    validate_model(model)
-    if isinstance(model, Constant):
-        if size is None:
-            return model.value
-        return np.full(size, model.value)
-    if isinstance(model, UniformRange):
-        out = rng.uniform(model.low, model.high, size=size)
-    elif isinstance(model, ShiftedExponential):
-        out = model.shift + rng.exponential(1.0 / model.rate, size=size)
-    elif isinstance(model, TwoPoint):
-        u = rng.random(size=size)
-        out = np.where(u < model.p_a, model.value_a, model.value_b)
-    else:
-        values = np.asarray(model.values)
-        idx = rng.integers(0, len(values), size=size)
-        out = values[idx]
-    if size is None:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    return model.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------

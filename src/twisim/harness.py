@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from twisim import analytics, bounds, planner
+from twisim import __version__, analytics, bounds, planner
 from twisim.config import (
     ConfigError,
     ExperimentConfig,
@@ -37,8 +37,6 @@ from twisim.mc import (
     estimate_sim_violation,
 )
 from twisim.twi import TwiSpec
-
-__version__ = "0.1.0"
 
 
 def _fmt(value) -> str:

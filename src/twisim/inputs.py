@@ -1,11 +1,10 @@
-"""Timing models for sensory inputs and digital links.
+"""Timing models for sensory inputs.
 
 A sensor integrates for T_s before it reliably produces data; a physical
 event becomes detectable tau_s after it occurs.  Synchronous sensors run a
 periodic window grid of period T_s, so detection additionally waits a phase
 offset phi_s in [0, T_s).  Asynchronous sensors are event-triggered
-(phi_s = 0) but cannot restart a running window.  Digital links add an
-opaque random transmission time to the send instant.
+(phi_s = 0) but cannot restart a running window.
 """
 
 from __future__ import annotations
@@ -17,17 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from twisim.core import (
-    Duration,
-    ParameterError,
-    TimePoint,
-    TransmissionTimeModel,
-    ensure_duration,
-    ensure_time,
-    sample,
-    support,
-    validate_model,
-)
+from twisim.core import Duration, ParameterError, TimePoint, ensure_duration, ensure_time
 
 
 class SensorMode(enum.Enum):
@@ -52,23 +41,6 @@ class SensorSpec:
         ensure_duration(self.tau_s, "SensorSpec.tau_s")
         if int(self.d_s) < 1:
             raise ParameterError(f"SensorSpec.d_s must be >= 1, got {self.d_s}")
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """Digital link; t_ab aggregates sender processing, propagation and
-    receiver decoding into one random transmission time."""
-
-    t_ab: TransmissionTimeModel
-    d_d: int = 1
-
-    def __post_init__(self) -> None:
-        validate_model(self.t_ab)
-        if int(self.d_d) < 1:
-            raise ParameterError(f"LinkSpec.d_d must be >= 1, got {self.d_d}")
-        t_min, _ = support(self.t_ab)
-        if t_min < 0.0:
-            raise ParameterError("link transmission time support must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -145,13 +117,3 @@ def detect_stream(
                 records.append(DetectionRecord(i, False, math.nan))
     return records
 
-
-def sample_link_arrival(
-    spec: LinkSpec,
-    send_time: TimePoint,
-    rng: np.random.Generator,
-    size: Optional[int] = None,
-):
-    """Arrival time at the receiver: send_time + sampled transmission time."""
-    send_time = ensure_time(send_time, "send_time")
-    return send_time + sample(spec.t_ab, rng, size=size)

@@ -7,20 +7,13 @@ import math
 from dataclasses import dataclass
 
 from twisim.core import (
-    Constant,
     Duration,
-    Empirical,
     ParameterError,
-    ShiftedExponential,
     TimePoint,
     TransmissionTimeModel,
-    TwoPoint,
-    UniformRange,
     ensure_duration,
     ensure_time,
-    mean,
     tail_probability,
-    validate_model,
 )
 
 
@@ -79,45 +72,14 @@ class MissProbabilityReport:
     exact_value: float
 
 
-def _expected_clamped_ratio(model: TransmissionTimeModel, w: float) -> float:
-    """E[min(T / w, 1)] computed in closed form per model variant."""
-    if isinstance(model, Constant):
-        return min(model.value / w, 1.0)
-    if isinstance(model, TwoPoint):
-        return model.p_a * min(model.value_a / w, 1.0) + (1.0 - model.p_a) * min(
-            model.value_b / w, 1.0
-        )
-    if isinstance(model, Empirical):
-        return sum(min(v / w, 1.0) for v in model.values) / len(model.values)
-    if isinstance(model, UniformRange):
-        a, b = model.low, model.high
-        if b == a:
-            return min(a / w, 1.0)
-        if b <= w:
-            return (a + b) / (2.0 * w)
-        if a >= w:
-            return 1.0
-        ramp = (w * w - a * a) / (2.0 * w)  # integral of t/w over [a, w)
-        return (ramp + (b - w)) / (b - a)
-    # ShiftedExponential: T = shift + X, X ~ Exp(rate)
-    if model.shift >= w:
-        return 1.0
-    rate = model.rate
-    m = w - model.shift
-    decay = math.exp(-rate * m)
-    ramp = (model.shift * (1.0 - decay) + (1.0 - decay) / rate - m * decay) / w
-    return ramp + decay
-
-
 def p_miss_unknown_edge(t_model: TransmissionTimeModel, w: Duration) -> MissProbabilityReport:
     """Miss probability for a transmission starting uniformly within the
     window; reports the nominal E[T]/W ratio and the clamped exact value."""
-    validate_model(t_model)
     w = ensure_duration(w, "w")
     if w == 0.0:
         raise ParameterError("w must be > 0")
-    nominal = min(1.0, mean(t_model) / w)
-    return MissProbabilityReport(nominal, _expected_clamped_ratio(t_model, w))
+    nominal = min(1.0, t_model.mean() / w)
+    return MissProbabilityReport(nominal, t_model.clamped_ratio(w))
 
 
 def quantize_to_slots(t: TimePoint, grid: SlotGrid) -> int:

@@ -115,18 +115,25 @@ def test_laplace_transform_against_sampling():
 @pytest.mark.parametrize(
     "bad",
     [
-        Constant(-1.0),
-        UniformRange(2.0, 1.0),
-        ShiftedExponential(0.0, 0.0),
-        ShiftedExponential(0.0, -2.0),
-        TwoPoint(1.0, 2.0, 1.5),
-        Empirical(()),
-        Empirical((1.0, -3.0)),
+        lambda: Constant(-1.0),
+        lambda: UniformRange(2.0, 1.0),
+        lambda: ShiftedExponential(0.0, 0.0),
+        lambda: ShiftedExponential(0.0, -2.0),
+        lambda: TwoPoint(1.0, 2.0, 1.5),
+        lambda: Empirical(()),
+        lambda: Empirical((1.0, -3.0)),
     ],
+    ids=[f"bad{i}" for i in range(7)],
 )
 def test_invalid_models_rejected(bad):
     with pytest.raises(ParameterError):
-        validate_model(bad)
+        bad()
+
+
+def test_validate_model_rejects_non_models():
+    validate_model(Empirical((1.0,)))
+    with pytest.raises(ParameterError):
+        validate_model({"kind": "constant", "value": 1.0})
 
 
 @given(

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import twisim
 from twisim.cli import main
 from twisim.config import (
     ConfigError,
@@ -12,7 +14,7 @@ from twisim.config import (
     model_from_dict,
     serialize_config,
 )
-from twisim.core import ShiftedExponential, TwoPoint, UniformRange
+from twisim.core import Empirical, ShiftedExponential, TwoPoint, UniformRange
 from twisim.harness import (
     exponential_chain,
     reproduce_two_rate_curve,
@@ -46,6 +48,7 @@ def test_model_round_trip():
     ]:
         model = model_from_dict(obj)
         assert model_from_dict(json.loads(json.dumps(obj))) == model
+        assert model.to_dict() == obj
 
 
 def test_model_errors_name_the_field():
@@ -76,6 +79,14 @@ def test_config_errors_name_the_field():
         config_from_dict({**CHAIN_CFG, "w_sweep": [0.2, 0.1]})
     with pytest.raises(ConfigError, match="schema_version"):
         config_from_dict({"kind": "reproduce", "schema_version": 99})
+    for name, bad in [
+        ("trials", "abc"), ("trials", 1.7), ("trials", True), ("threads", "x"), ("seed", -1),
+    ]:
+        with pytest.raises(ConfigError, match=f"config.{name}"):
+            config_from_dict({"kind": "reproduce", name: bad})
+    sensor = {"type": "sensor", "t_s": 0.01, "d_s": "8"}
+    with pytest.raises(ConfigError, match=r"inputs\[0\]\.d_s"):
+        config_from_dict({"kind": "fanout_sim", "scenario": {"inputs": [sensor]}})
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -128,6 +139,21 @@ def test_run_experiment_analytic():
                 {"kind": "analytic", "params": {"op": "sim_violation_n", "arrivals": [1.0]}}
             )
         )
+
+
+def test_empirical_csv_has_python_floats_and_the_array_is_read_only():
+    model = {"kind": "empirical", "values": [0.002, 0.004, 0.011]}
+    for kind, params in [
+        ("analytic", {"op": "expected_cv_two_input", "t_s": 0.01, "w": 0.005, "model": model}),
+        ("plan", {"model": model, "w": 0.005}),
+    ]:
+        header, rows = run_experiment(config_from_dict({"kind": kind, "params": params}))
+        assert "np." not in rows_to_csv(header, rows)
+    array = model_from_dict(model).array
+    assert array.dtype == np.float64
+    with pytest.raises(ValueError):
+        array[0] = 1.0
+    assert Empirical((0.002, 0.004)) == Empirical((0.002, 0.004))
 
 
 def test_run_experiment_bounds_check_columns():
@@ -204,6 +230,7 @@ def test_cli_simulate_writes_csv_and_manifest(tmp_path):
     assert manifest["seed"] == 5
     assert manifest["trials"] == 2000
     assert len(manifest["config_sha256"]) == 64
+    assert manifest["package_version"] == twisim.__version__
 
 
 def test_cli_threads_do_not_change_csv_body(tmp_path):
@@ -236,6 +263,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     # unwritable output path
     assert main(["simulate", cfg, "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 4
     assert main(["simulate", cfg, "--trials", "0"]) == 2
+    assert main(["simulate", cfg, "--seed", "-1"]) == 2
+    for name, bad in [("trials", "abc"), ("trials", 1.7), ("trials", True), ("threads", "x"), ("seed", -1)]:
+        assert main(["simulate", write_cfg(tmp_path, {**CHAIN_CFG, name: bad})]) == 2
 
 
 def test_cli_reproduce_needs_figure(tmp_path, capsys):

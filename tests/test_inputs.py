@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisim.core import Constant, ParameterError, UniformRange, trial_rng
+from twisim.core import ParameterError, trial_rng
 from twisim.inputs import (
-    LinkSpec,
     SensorMode,
     SensorSpec,
     detect_stream,
     max_event_rate,
-    sample_link_arrival,
     sample_sensor_detection_time,
 )
 
@@ -27,8 +25,6 @@ def test_spec_validation():
         SensorSpec(t_s=0.010, tau_s=-1.0)
     with pytest.raises(ParameterError):
         SensorSpec(t_s=0.010, d_s=0)
-    with pytest.raises(ParameterError):
-        LinkSpec(Constant(1.0), d_d=0)
 
 
 def test_async_detection_time_is_deterministic():
@@ -122,15 +118,3 @@ def test_stream_detection_invariants(events, t_s, tau_s, mode):
         assert all(b >= a + t_s - 1e-9 for a, b in zip(arrivals, arrivals[1:]))
         assert recs[0].detected
 
-
-def test_link_arrival():
-    spec = LinkSpec(Constant(0.003))
-    assert sample_link_arrival(spec, 1.0, trial_rng(0, 0)) == pytest.approx(1.003)
-    spec = LinkSpec(UniformRange(0.001, 0.002))
-    arr = sample_link_arrival(spec, 1.0, trial_rng(0, 0), size=1000)
-    assert arr.min() >= 1.001 and arr.max() <= 1.002
-
-
-def test_link_rejects_negative_support():
-    with pytest.raises(ParameterError):
-        LinkSpec(UniformRange(-0.001, 0.002))
