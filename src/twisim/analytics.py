@@ -208,4 +208,5 @@ def expected_cv_two_input(
 
     else:
         raise ParameterError(f"unknown cause direction: {cause!r}")
-    return model.expect(inner)
+    # the ramp's float sums can overshoot 1 by an ulp; a probability cannot
+    return min(1.0, model.expect(inner))

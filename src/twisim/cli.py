@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -32,6 +33,7 @@ _SUBCOMMAND_KINDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

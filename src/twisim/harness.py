@@ -9,9 +9,11 @@ deterministic in (config, seed) for any thread count.  Volatile metadata
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -377,13 +379,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     return _RUNNERS[cfg.kind](cfg)
 
 
+@functools.cache
 def _git_describe() -> str:
+    """Git state of the twisim source tree ("" outside a repository), read
+    once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() if out.returncode == 0 else ""
     except OSError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from twisim.core import (
 )
 from twisim.analytics import TwoInputParams
 from twisim.inputs import SensorSpec, sample_sensor_detection_time
-from twisim.twi import TwiSpec
+from twisim.twi import TwiSpec, stamp_array
 
 CHUNK_SIZE = 1 << 15
 
@@ -109,14 +109,9 @@ class FanOutScenario:
     def n(self) -> int:
         return len(self.inputs)
 
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    arrival_times: tuple[float, ...]
-    stamps: Optional[tuple[int, ...]]  # None when W = 0
-    offset: float
-    violated: bool
-    violating_pairs: tuple[tuple[int, int], ...]  # 1-based adjacent pairs
+    def occurrence_offsets(self) -> np.ndarray:
+        """Occurrence time of the source event for each input: all at t = 0."""
+        return np.zeros(self.n)
 
 
 @dataclass(frozen=True)
@@ -143,16 +138,22 @@ def _make_estimate(successes: int, trials: int, seed: RandomSeed) -> ViolationEs
     return ViolationEstimate(p, trials, se, ci, seed)
 
 
-def _sample_input(inp: ScenarioInput, rng: np.random.Generator, size: Optional[int]):
+def _sample_input(inp: ScenarioInput, rng: np.random.Generator, size: int):
     if isinstance(inp, SensorSpec):
         return sample_sensor_detection_time(inp, rng, size)
     return sample(inp.model, rng, size) + inp.delay
 
 
+def _random_offset_twi(w: float) -> TwiSpec:
+    """Window w with a random offset; W = 0 compares raw times."""
+    return TwiSpec(w, offset=None if w > 0 else 0.0)
+
+
 def _chain_arrivals(
-    s: CausalChainScenario, rng: np.random.Generator, count: int
+    s: Union[CausalChainScenario, FanOutScenario], rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(count, N) arrival times plus one offset fraction per trial."""
+    """(count, N) arrival times plus one offset fraction per trial; each
+    input is sampled in order, then the fractions."""
     t = np.empty((count, s.n))
     for i, inp in enumerate(s.inputs):
         t[:, i] = _sample_input(inp, rng, count)
@@ -161,19 +162,19 @@ def _chain_arrivals(
     return t, u
 
 
+def _stamps(t: np.ndarray, u: np.ndarray, twi: TwiSpec) -> np.ndarray:
+    """Stamps of (trials, N) arrivals t; a random offset is u * W per trial."""
+    offset = u[:, None] * twi.window if twi.random_offset else float(twi.offset)
+    return stamp_array(t, twi.window, offset)
+
+
 def _ordered_pairs(
     t: np.ndarray, u: np.ndarray, twi: TwiSpec, anchor_first: bool
 ) -> np.ndarray:
     """Boolean (trials, N-1) matrix: adjacent pair in (stamped) order."""
-    w = twi.window
-    if w == 0.0:
-        return t[:, 1:] >= t[:, :-1]
-    offset = u * w if twi.random_offset else float(twi.offset)
-    base = t - t[:, :1] if anchor_first else t
-    if twi.random_offset:
-        stamps = np.ceil((base - offset[:, None]) / w)
-    else:
-        stamps = np.ceil((base - offset) / w)
+    if anchor_first and twi.window > 0.0:
+        t = t - t[:, :1]
+    stamps = _stamps(t, u, twi)
     return stamps[:, 1:] >= stamps[:, :-1]
 
 
@@ -189,25 +190,6 @@ def _map_chunks(fn, trials: int, threads: int):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, c, count) for c, count in chunks]
         return [f.result() for f in futures]
-
-
-def run_chain_trial(
-    s: CausalChainScenario, twi: TwiSpec, rng: np.random.Generator
-) -> TrialOutcome:
-    """Sample one trial and report the full (stamped) ordering outcome."""
-    t = np.array([_sample_input(inp, rng, None) for inp in s.inputs])
-    t += s.occurrence_offsets()
-    u = rng.random()
-    ok = _ordered_pairs(t[None, :], np.array([u]), twi, s.anchor_first_arrival)[0]
-    pairs = tuple((k + 1, k + 2) for k in np.flatnonzero(~ok))
-    if twi.window > 0.0:
-        offset = u * twi.window if twi.random_offset else float(twi.offset)
-        base = t - t[0] if s.anchor_first_arrival else t
-        stamps = tuple(int(v) for v in np.ceil((base - offset) / twi.window))
-    else:
-        offset = 0.0
-        stamps = None
-    return TrialOutcome(tuple(t), stamps, offset, len(pairs) > 0, pairs)
 
 
 def estimate_chain(
@@ -237,20 +219,6 @@ def estimate_chain(
     )
 
 
-def estimate_no_violation_prob(
-    s: CausalChainScenario, twi: TwiSpec, trials: int, seed: RandomSeed, threads: int = 1
-) -> ViolationEstimate:
-    """Probability that the receiver perceives the whole chain in causal order."""
-    return estimate_chain(s, twi, trials, seed, threads).no_violation
-
-
-def estimate_pairwise_probs(
-    s: CausalChainScenario, twi: TwiSpec, trials: int, seed: RandomSeed, threads: int = 1
-) -> tuple[float, ...]:
-    """Per-pair probabilities that event k is perceived no later than k+1."""
-    return tuple(e.p_hat for e in estimate_chain(s, twi, trials, seed, threads).pairwise)
-
-
 def derived_seed(seed: RandomSeed, index: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(2, int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -270,31 +238,23 @@ def estimate_no_violation_sweep(
     offset fraction at every window width, making the sweep exactly
     comparable point to point; otherwise every point is independent.
     """
-    w_values = [ensure_duration(w, "w") for w in w_values]
+    twis = [_random_offset_twi(ensure_duration(w, "w")) for w in w_values]
     trials = int(trials)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
 
     if not common_random_numbers:
         return [
-            estimate_no_violation_prob(
-                s,
-                TwiSpec(w, offset=None if w > 0 else 0.0),
-                trials,
-                derived_seed(seed, j),
-                threads,
-            )
-            for j, w in enumerate(w_values)
+            estimate_chain(s, twi, trials, derived_seed(seed, j), threads).no_violation
+            for j, twi in enumerate(twis)
         ]
 
     def work(c: int, count: int):
         t, u = _chain_arrivals(s, chunk_rng(seed, c), count)
-        counts = []
-        for w in w_values:
-            twi = TwiSpec(w, offset=None if w > 0 else 0.0)
-            ok = _ordered_pairs(t, u, twi, s.anchor_first_arrival)
-            counts.append(int(ok.all(axis=1).sum()))
-        return counts
+        return [
+            int(_ordered_pairs(t, u, twi, s.anchor_first_arrival).all(axis=1).sum())
+            for twi in twis
+        ]
 
     results = _map_chunks(work, trials, threads)
     totals = np.sum(results, axis=0)
@@ -311,21 +271,8 @@ def estimate_sim_violation(
         raise ParameterError("trials must be >= 1")
 
     def work(c: int, count: int):
-        rng = chunk_rng(seed, c)
-        t = np.empty((count, s.n))
-        for i, inp in enumerate(s.inputs):
-            t[:, i] = _sample_input(inp, rng, count)
-        u = rng.random(count)
-        if twi.window == 0.0:
-            violated = (t != t[:, :1]).any(axis=1)
-        else:
-            offset = u * twi.window if twi.random_offset else float(twi.offset)
-            if twi.random_offset:
-                stamps = np.ceil((t - offset[:, None]) / twi.window)
-            else:
-                stamps = np.ceil((t - offset) / twi.window)
-            violated = (stamps != stamps[:, :1]).any(axis=1)
-        return int(violated.sum())
+        stamps = _stamps(*_chain_arrivals(s, chunk_rng(seed, c), count), twi)
+        return int((stamps != stamps[:, :1]).any(axis=1).sum())
 
     violations = sum(_map_chunks(work, trials, threads))
     return _make_estimate(violations, trials, seed)
@@ -349,6 +296,7 @@ def estimate_cv_two_input(
     trials = int(trials)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    twi = _random_offset_twi(p.w)
 
     def work(c: int, count: int):
         rng = chunk_rng(seed, c)
@@ -363,12 +311,8 @@ def estimate_cv_two_input(
             t_sense = p.tau_s + p.tau_a + phi + p.t_s
             t_digital = t_ab
             early, late = t_sense, t_digital  # violation: sensing first
-        if p.w == 0.0:
-            violated = early < late
-        else:
-            offset = u * p.w
-            violated = np.ceil((early - offset) / p.w) < np.ceil((late - offset) / p.w)
-        return int(violated.sum())
+        stamps = _stamps(np.column_stack((early, late)), u, twi)
+        return int((stamps[:, 0] < stamps[:, 1]).sum())
 
     violations = sum(_map_chunks(work, trials, threads))
     return _make_estimate(violations, trials, seed)

@@ -3,7 +3,6 @@ slot-grid quantization for frame-based radio systems."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from twisim.core import (
@@ -12,9 +11,9 @@ from twisim.core import (
     TimePoint,
     TransmissionTimeModel,
     ensure_duration,
-    ensure_time,
     tail_probability,
 )
+from twisim.twi import stamp
 
 
 class InfeasibleBudgetError(ParameterError):
@@ -84,7 +83,7 @@ def p_miss_unknown_edge(t_model: TransmissionTimeModel, w: Duration) -> MissProb
 
 def quantize_to_slots(t: TimePoint, grid: SlotGrid) -> int:
     """Slot index of time t; boundary times fall in the earlier slot."""
-    return math.ceil(ensure_time(t, "t") / grid.slot)
+    return stamp(t, grid.slot)
 
 
 def validate_twi_on_grid(w: Duration, grid: SlotGrid) -> bool:

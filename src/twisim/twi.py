@@ -3,7 +3,9 @@
 The timestamping function maps an arrival time t to the integer window index
 ceil((t - offset) / W).  Windows are left-open right-closed, so a boundary
 time belongs to the earlier window.  W = 0 is a distinguished "no window"
-mode in which raw arrival times are compared directly.
+mode in which raw arrival times are compared directly.  ``stamp`` is the
+checked scalar rule; ``stamp_array`` applies the same rule to arrays and is
+the one place the Monte-Carlo estimators stamp.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from twisim.core import Duration, ParameterError, TimePoint, ensure_duration, ensure_time
 
@@ -64,6 +68,20 @@ def stamp(t: TimePoint, w: Duration, offset: Duration = 0.0) -> int:
     if not math.isfinite(quotient):
         raise ParameterError(f"window {w} is too small relative to t={t}")
     return math.ceil(quotient)
+
+
+def stamp_array(t: np.ndarray, w: Duration, offset: Union[Duration, np.ndarray] = 0.0) -> np.ndarray:
+    """Elementwise ceil((t - offset) / w) as floats; ``offset`` is a scalar or
+    an array that broadcasts against ``t``.  With w = 0 it returns ``t``
+    itself, so comparing stamps compares raw times.  Nothing is checked here:
+    callers pass a validated window and offsets in [0, w).  The result is
+    built in one array, in place: fresh temporaries of Monte-Carlo chunk size
+    cost more in page faults than the arithmetic."""
+    if w == 0.0:
+        return t
+    s = np.subtract(t, offset, dtype=float)
+    s /= w
+    return np.ceil(s, out=s)
 
 
 def relate(t_i: TimePoint, t_j: TimePoint, twi: TwiSpec, offset: Optional[Duration] = None) -> Relation:

@@ -194,6 +194,12 @@ def test_expected_cv_constant_hand_value():
     assert expected_cv_two_input(p, Constant(0.0), "physical") == pytest.approx(1.0)
 
 
+def test_expected_cv_never_exceeds_one():
+    # a certain violation whose float sums used to give 1.0000000000000002
+    p = params(t_s=0.073305, tau_s=0.006935, tau_a=0.011752, t_min=0.0, t_max=math.inf, w=0.02)
+    assert expected_cv_two_input(p, Constant(0.198296), "digital") == 1.0
+
+
 def test_expected_cv_rejects_negative_tau_a_for_physical():
     p = params(tau_a=-0.001, t_max=1.0)
     with pytest.raises(ParameterError):

@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
 
 import numpy as np
 import pytest
 
 import twisim
+from twisim import harness
 from twisim.cli import main
 from twisim.config import (
     ConfigError,
@@ -231,6 +234,29 @@ def test_cli_simulate_writes_csv_and_manifest(tmp_path):
     assert manifest["trials"] == 2000
     assert len(manifest["config_sha256"]) == 64
     assert manifest["package_version"] == twisim.__version__
+
+
+def test_manifest_describes_the_package_tree_with_one_git_call(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs.get("cwd")))
+        return subprocess.CompletedProcess(cmd, 0, stdout="v0-1-gabc\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    harness._git_describe.cache_clear()
+    try:
+        cfg = write_cfg(tmp_path, CHAIN_CFG)
+        for name in ("a.csv", "b.csv"):
+            assert main(["simulate", cfg, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["git_describe"] == "v0-1-gabc"
+    finally:
+        harness._git_describe.cache_clear()
+    assert len(calls) == 1
+    cmd, cwd = calls[0]
+    assert cmd[0] == "git"
+    assert os.path.samefile(cwd, os.path.dirname(twisim.__file__))
 
 
 def test_cli_threads_do_not_change_csv_body(tmp_path):

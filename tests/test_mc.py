@@ -13,23 +13,20 @@ from twisim.core import (
     TwoPoint,
     UniformRange,
     chunk_rng,
-    trial_rng,
 )
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import (
     CausalChainScenario,
     FanOutScenario,
     LinkInput,
+    _chain_arrivals,
     derived_seed,
     estimate_chain,
     estimate_cv_two_input,
-    estimate_no_violation_prob,
     estimate_no_violation_sweep,
-    estimate_pairwise_probs,
     estimate_sim_violation,
-    run_chain_trial,
 )
-from twisim.twi import TwiSpec
+from twisim.twi import TwiSpec, stamp_array
 
 
 def fixed_chain(values, taus):
@@ -58,25 +55,32 @@ def test_scenario_validation():
         FanOutScenario(inputs=())
 
 
-def test_run_chain_trial_deterministic_outcome():
+def pairwise_p(est):
+    return tuple(e.p_hat for e in est.pairwise)
+
+
+def test_chain_trial_deterministic_outcome():
     # occurrences 0, 1, 2; transmissions 0.5, 2.8, 0.2 -> arrivals 0.5, 3.8, 2.2
     s = fixed_chain([0.5, 2.8, 0.2], [1.0, 1.0])
-    out = run_chain_trial(s, TwiSpec(0.0), trial_rng(0, 0))
-    assert out.arrival_times == pytest.approx((0.5, 3.8, 2.2))
-    assert out.stamps is None
-    assert out.violated
-    assert out.violating_pairs == ((2, 3),)
+    t, _ = _chain_arrivals(s, chunk_rng(0, 0), 4)
+    assert t == pytest.approx(np.tile([0.5, 3.8, 2.2], (4, 1)))
+    # W = 0 compares raw times: only the pair (2, 3) is out of order
+    assert stamp_array(t, 0.0) is t
+    est = estimate_chain(s, TwiSpec(0.0), 100, seed=0)
+    assert est.no_violation.p_hat == 0.0
+    assert pairwise_p(est) == (1.0, 0.0)
     # a 5-unit window with zero offset stamps all three into window 1
-    out = run_chain_trial(s, TwiSpec(5.0), trial_rng(0, 0))
-    assert out.stamps == (1, 1, 1)
-    assert not out.violated
+    assert (stamp_array(t, 5.0) == 1.0).all()
+    est = estimate_chain(s, TwiSpec(5.0), 100, seed=0)
+    assert est.no_violation.p_hat == 1.0
+    assert pairwise_p(est) == (1.0, 1.0)
 
 
 def test_estimate_chain_deterministic_scenario():
     s = fixed_chain([0.5, 2.8, 0.2], [1.0, 1.0])
     est = estimate_chain(s, TwiSpec(0.0), 1000, seed=1)
     assert est.no_violation.p_hat == 0.0
-    assert estimate_pairwise_probs(s, TwiSpec(0.0), 1000, seed=1) == (1.0, 0.0)
+    assert pairwise_p(est) == (1.0, 0.0)
     est = estimate_chain(s, TwiSpec(5.0), 1000, seed=1)
     assert est.no_violation.p_hat == 1.0
     assert est.no_violation.std_err == 0.0
@@ -87,11 +91,11 @@ def test_estimates_replay_bit_identically():
         action_times=(0.5,) * 2,
         inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 3,
     )
-    a = estimate_no_violation_prob(s, TwiSpec(0.0), 70_000, seed=42)
-    b = estimate_no_violation_prob(s, TwiSpec(0.0), 70_000, seed=42)
+    a = estimate_chain(s, TwiSpec(0.0), 70_000, seed=42)
+    b = estimate_chain(s, TwiSpec(0.0), 70_000, seed=42)
     assert a == b
-    c = estimate_no_violation_prob(s, TwiSpec(0.0), 70_000, seed=43)
-    assert c.p_hat != a.p_hat
+    c = estimate_chain(s, TwiSpec(0.0), 70_000, seed=43)
+    assert c.no_violation.p_hat != a.no_violation.p_hat
 
 
 def test_thread_count_does_not_change_estimates():
@@ -99,10 +103,23 @@ def test_thread_count_does_not_change_estimates():
         action_times=(0.5,) * 4,
         inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 5,
     )
-    for twi in (TwiSpec(0.0), TwiSpec(0.7, offset=None)):
-        one = estimate_chain(s, twi, 150_000, seed=7, threads=1)
-        four = estimate_chain(s, twi, 150_000, seed=7, threads=4)
-        assert one == four
+    fanout = FanOutScenario(inputs=s.inputs)
+    p = TwoInputParams(t_s=0.010, tau_s=0.001, tau_a=0.002, t_min=0.0, t_max=1.0, w=0.006)
+    runs = [
+        lambda threads: estimate_no_violation_sweep(
+            s, [0.0, 0.3, 0.7, 2.0], 150_000, seed=7, threads=threads
+        ),
+        lambda threads: estimate_cv_two_input(
+            p, UniformRange(0.002, 0.030), "digital", 150_000, seed=7, threads=threads
+        ),
+    ]
+    for twi in (TwiSpec(0.0), TwiSpec(0.7, offset=None), TwiSpec(0.7, offset=0.2)):
+        runs.append(lambda threads, twi=twi: estimate_chain(s, twi, 150_000, seed=7, threads=threads))
+        runs.append(
+            lambda threads, twi=twi: estimate_sim_violation(fanout, twi, 150_000, seed=7, threads=threads)
+        )
+    for run in runs:
+        assert run(1) == run(4)
 
 
 def test_two_rate_pair_matches_exact():
@@ -125,9 +142,10 @@ def test_sensor_input_in_chain():
             LinkInput(Constant(0.5)),
         ),
     )
-    out = run_chain_trial(s, TwiSpec(0.0), trial_rng(0, 0))
-    assert out.arrival_times == pytest.approx((0.3, 1.5))
-    assert not out.violated
+    t, _ = _chain_arrivals(s, chunk_rng(0, 0), 1000)
+    assert t == pytest.approx(np.tile([0.3, 1.5], (1000, 1)))
+    est = estimate_chain(s, TwiSpec(0.0), 1000, seed=0)
+    assert est.no_violation.p_hat == 1.0
 
 
 def test_anchor_first_arrival_realigns_grid():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twisim.core import ParameterError
@@ -14,6 +14,7 @@ from twisim.twi import (
     event_throughput_loss,
     relate,
     stamp,
+    stamp_array,
 )
 
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -113,6 +114,27 @@ def test_stamp_monotone_in_time(t1, t2, w):
     if t1 > t2:
         t1, t2 = t2, t1
     assert stamp(t1, w) <= stamp(t2, w)
+
+
+@given(
+    ts=st.lists(times, min_size=1, max_size=20),
+    w=widths,
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_stamp_array_matches_scalar_stamp(ts, w, frac):
+    off = frac * w
+    assume(off < w)
+    assume(all(math.isfinite((t - off) / w) for t in ts))
+    assert stamp_array(np.array(ts), w, off).tolist() == [stamp(t, w, off) for t in ts]
+    t = np.array(ts)
+    assert stamp_array(t, 0.0, 0.0) is t
+
+
+def test_stamp_array_broadcasts_a_per_row_offset():
+    t = np.array([[0.5, 1.0], [0.5, 1.0]])
+    off = np.array([[0.0], [0.6]])
+    assert stamp_array(t, 1.0, off).tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
 
 @given(t=times, w=widths, k=st.integers(min_value=0, max_value=1000))
