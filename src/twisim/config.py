@@ -73,7 +73,10 @@ def model_from_dict(obj: Any, path: str = "model") -> TransmissionTimeModel:
         if f.name == "values":
             if not isinstance(value, list) or not value:
                 _fail(f"{path}.values", "expected a nonempty list")
-            args.append(tuple(_as_number(v, f"{path}.values") for v in value))
+            if not set(map(type, value)) <= {int, float}:
+                for v in value:  # names the first value that is not a number
+                    _as_number(v, f"{path}.values")
+            args.append(tuple(map(float, value)))
         else:
             args.append(_as_number(value, f"{path}.{f.name}"))
     try:
@@ -289,4 +292,5 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    """Compact JSON with sorted keys; the manifest hashes these bytes."""
+    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))

@@ -240,7 +240,10 @@ class TwoPoint(_Model):
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         u = rng.random(size=size)
-        return _as_draws(np.where(u < self.p_a, self.value_a, self.value_b), size)
+        if size is None:
+            return float(self.value_a if u < self.p_a else self.value_b)
+        # indexing by the 0/1 mask avoids a data-dependent branch per draw
+        return np.array((self.value_b, self.value_a), dtype=float)[(u < self.p_a).view(np.uint8)]
 
     def expect(self, fn: Callable[[float], float]) -> float:
         return self.p_a * fn(self.value_a) + (1.0 - self.p_a) * fn(self.value_b)

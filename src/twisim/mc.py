@@ -10,6 +10,7 @@ aggregated in any order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -132,7 +133,7 @@ class ChainEstimate:
 
 
 def _make_estimate(successes: int, trials: int, seed: RandomSeed) -> ViolationEstimate:
-    p = successes / trials
+    p = int(successes) / trials  # a Python float, also for NumPy counts
     se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
     return ViolationEstimate(p, trials, se, ci, seed)
@@ -153,8 +154,10 @@ def _chain_arrivals(
     s: Union[CausalChainScenario, FanOutScenario], rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(count, N) arrival times plus one offset fraction per trial; each
-    input is sampled in order, then the fractions."""
-    t = np.empty((count, s.n))
+    input is sampled in order, then the fractions.  The matrix is
+    input-major (Fortran order): each input's draws fill one contiguous
+    column, so row-wise stamping and reductions run as N vector operations."""
+    t = np.empty((count, s.n), order="F")
     for i, inp in enumerate(s.inputs):
         t[:, i] = _sample_input(inp, rng, count)
     t += s.occurrence_offsets()
@@ -178,6 +181,17 @@ def _ordered_pairs(
     return stamps[:, 1:] >= stamps[:, :-1]
 
 
+def _inverted_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacent pairs of (trials, N) arrivals t with t[r, i+1] < t[r, i]:
+    a (K, 2) input-major matrix of (t[r, i], t[r, i+1]) plus the row r of
+    each.  Only these pairs can be stamped out of order, since the window
+    rule is monotone in t."""
+    count = t.shape[0]
+    flat = t.ravel(order="F")  # t[r, i] is flat[i * count + r]
+    k = np.flatnonzero((t[:, 1:] < t[:, :-1]).T)  # pair-major: i * count + r
+    return np.array((flat[k], flat[k + count])).T, k % count
+
+
 def _chunk_ranges(trials: int):
     for c, start in enumerate(range(0, trials, CHUNK_SIZE)):
         yield c, min(CHUNK_SIZE, trials - start)
@@ -185,9 +199,10 @@ def _chunk_ranges(trials: int):
 
 def _map_chunks(fn, trials: int, threads: int):
     chunks = list(_chunk_ranges(trials))
-    if threads <= 1:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(c, count) for c, count in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, c, count) for c, count in chunks]
         return [f.result() for f in futures]
 
@@ -208,14 +223,14 @@ def estimate_chain(
     def work(c: int, count: int):
         t, u = _chain_arrivals(s, chunk_rng(seed, c), count)
         ok = _ordered_pairs(t, u, twi, s.anchor_first_arrival)
-        return int(ok.all(axis=1).sum()), ok.sum(axis=0).astype(np.int64)
+        return np.count_nonzero(ok.all(axis=1)), [np.count_nonzero(col) for col in ok.T]
 
     results = _map_chunks(work, trials, threads)
     joint = sum(r[0] for r in results)
     per_pair = np.sum([r[1] for r in results], axis=0)
     return ChainEstimate(
         no_violation=_make_estimate(joint, trials, seed),
-        pairwise=tuple(_make_estimate(int(k), trials, seed) for k in per_pair),
+        pairwise=tuple(_make_estimate(k, trials, seed) for k in per_pair),
     )
 
 
@@ -236,7 +251,9 @@ def estimate_no_violation_sweep(
 
     With common random numbers each trial reuses its transmission times and
     offset fraction at every window width, making the sweep exactly
-    comparable point to point; otherwise every point is independent.
+    comparable point to point; otherwise every point is independent.  A
+    common-random-number chunk finds its raw-inverted pairs once and stamps
+    only those at each width: a trial is violated iff one of them is.
     """
     twis = [_random_offset_twi(ensure_duration(w, "w")) for w in w_values]
     trials = int(trials)
@@ -251,14 +268,21 @@ def estimate_no_violation_sweep(
 
     def work(c: int, count: int):
         t, u = _chain_arrivals(s, chunk_rng(seed, c), count)
-        return [
-            int(_ordered_pairs(t, u, twi, s.anchor_first_arrival).all(axis=1).sum())
-            for twi in twis
-        ]
+        raw, rows = _inverted_pairs(t)
+        # W > 0 stamps the anchored times; the shift is the same for every W
+        shifted = raw - t[rows, :1] if s.anchor_first_arrival else raw
+        u = u[rows]
+        joint = []
+        for twi in twis:
+            ok = _ordered_pairs(shifted if twi.window > 0.0 else raw, u, twi, False)
+            violated = np.zeros(count, dtype=bool)
+            violated[rows[~ok[:, 0]]] = True
+            joint.append(count - np.count_nonzero(violated))
+        return joint
 
     results = _map_chunks(work, trials, threads)
     totals = np.sum(results, axis=0)
-    return [_make_estimate(int(k), trials, seed) for k in totals]
+    return [_make_estimate(k, trials, seed) for k in totals]
 
 
 def estimate_sim_violation(
@@ -272,7 +296,7 @@ def estimate_sim_violation(
 
     def work(c: int, count: int):
         stamps = _stamps(*_chain_arrivals(s, chunk_rng(seed, c), count), twi)
-        return int((stamps != stamps[:, :1]).any(axis=1).sum())
+        return np.count_nonzero((stamps != stamps[:, :1]).any(axis=1))
 
     violations = sum(_map_chunks(work, trials, threads))
     return _make_estimate(violations, trials, seed)
@@ -311,8 +335,8 @@ def estimate_cv_two_input(
             t_sense = p.tau_s + p.tau_a + phi + p.t_s
             t_digital = t_ab
             early, late = t_sense, t_digital  # violation: sensing first
-        stamps = _stamps(np.column_stack((early, late)), u, twi)
-        return int((stamps[:, 0] < stamps[:, 1]).sum())
+        stamps = _stamps(np.array((early, late)).T, u, twi)
+        return np.count_nonzero(stamps[:, 0] < stamps[:, 1])
 
     violations = sum(_map_chunks(work, trials, threads))
     return _make_estimate(violations, trials, seed)

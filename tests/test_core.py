@@ -82,6 +82,20 @@ def test_two_point_frequencies():
     assert abs(freq - 0.5) <= 4.0 * 0.5 / 1000.0
 
 
+@pytest.mark.parametrize("p_a", [0.0, 0.3, 1.0])
+def test_two_point_sample_matches_the_where_form(p_a):
+    model = TwoPoint(2.0, 1.0, p_a)
+    draws = model.sample(trial_rng(4, 0), 1000)
+    u = trial_rng(4, 0).random(1000)
+    assert draws.dtype == np.float64
+    assert np.array_equal(draws, np.where(u < p_a, 2.0, 1.0))
+    rng, ref = trial_rng(4, 1), trial_rng(4, 1)
+    for _ in range(50):
+        x = model.sample(rng)
+        assert type(x) is float
+        assert x == float(np.where(ref.random() < p_a, 2.0, 1.0))
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_streams_replay_bit_identically(model):
     a = sample(model, trial_rng(99, 3), 1000)

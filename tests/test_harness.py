@@ -71,6 +71,13 @@ def test_config_round_trip():
     assert again == cfg
 
 
+def test_serialized_config_is_compact_sorted_json():
+    text = serialize_config(config_from_dict(CHAIN_CFG))
+    assert "\n" not in text and ", " not in text and ": " not in text
+    obj = json.loads(text)
+    assert list(obj) == sorted(obj)
+
+
 def test_config_errors_name_the_field():
     with pytest.raises(ConfigError, match="kind"):
         config_from_dict({"kind": "nope"})
@@ -292,6 +299,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", cfg, "--seed", "-1"]) == 2
     for name, bad in [("trials", "abc"), ("trials", 1.7), ("trials", True), ("threads", "x"), ("seed", -1)]:
         assert main(["simulate", write_cfg(tmp_path, {**CHAIN_CFG, name: bad})]) == 2
+
+
+@pytest.mark.parametrize("bad", [True, "x", None])
+def test_empirical_values_must_be_numbers(tmp_path, capsys, bad):
+    link = {"type": "link", "model": {"kind": "empirical", "values": [0.1, bad, 0.2]}}
+    cfg = {"kind": "fanout_sim", "trials": 100, "scenario": {"inputs": [link]}}
+    assert main(["simulate", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "inputs[0].model.values" in err
+    assert f"expected a number, got {bad!r}" in err
 
 
 def test_cli_reproduce_needs_figure(tmp_path, capsys):

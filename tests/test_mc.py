@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisim.analytics import TwoInputParams, expected_cv_two_input, p_sim_violation_n
+from twisim import mc
 from twisim.core import (
     Constant,
+    Empirical,
     ParameterError,
     ShiftedExponential,
     TwoPoint,
@@ -20,6 +23,7 @@ from twisim.mc import (
     FanOutScenario,
     LinkInput,
     _chain_arrivals,
+    _random_offset_twi,
     derived_seed,
     estimate_chain,
     estimate_cv_two_input,
@@ -231,3 +235,109 @@ def test_cv_two_input_rejects_negative_tau_a_for_physical():
 def test_chunk_streams_differ(chunks, seed):
     draws = [chunk_rng(seed, c).random(4).tolist() for c in range(chunks + 1)]
     assert len({tuple(d) for d in draws}) == chunks + 1
+
+
+def test_chunk_arrivals_are_input_major():
+    s = CausalChainScenario(
+        action_times=(0.5,) * 2,
+        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 3,
+    )
+    t, u = _chain_arrivals(s, chunk_rng(1, 0), 1000)
+    assert t.shape == (1000, 3) and u.shape == (1000,)
+    assert t.flags.f_contiguous
+
+
+SWEEP_MODELS = (
+    Constant(0.4),
+    UniformRange(0.1, 0.9),
+    ShiftedExponential(0.05, 2.0),
+    TwoPoint(0.1, 1.3, 0.3),
+    Empirical((0.2, 0.5, 1.1, 0.05)),
+)
+chain_inputs = st.one_of(
+    st.builds(LinkInput, st.sampled_from(SWEEP_MODELS), st.sampled_from((0.0, 0.2))),
+    st.builds(
+        SensorSpec,
+        t_s=st.sampled_from((0.25, 0.6)),
+        tau_s=st.sampled_from((0.0, 0.1)),
+        mode=st.sampled_from(list(SensorMode)),
+    ),
+)
+
+
+@given(
+    inputs=st.lists(chain_inputs, min_size=2, max_size=6),
+    tau=st.sampled_from((0.0, 0.1, 0.5)),
+    anchor=st.booleans(),
+    ws=st.lists(st.sampled_from((0.0, 0.05, 0.3, 0.7, 1.5, 4.0)), min_size=1, max_size=5, unique=True),
+    trials=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+    threads=st.sampled_from((1, 2)),
+)
+@settings(max_examples=40, deadline=None)
+def test_crn_sweep_point_equals_the_dense_chain_estimate(inputs, tau, anchor, ws, trials, seed, threads):
+    # the sweep stamps only raw-inverted pairs; estimate_chain stamps all
+    s = CausalChainScenario(
+        action_times=(tau,) * (len(inputs) - 1),
+        inputs=tuple(inputs),
+        anchor_first_arrival=anchor,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "CHUNK_SIZE", 64)  # several chunks from few trials
+        sweep = estimate_no_violation_sweep(s, ws, trials, seed, threads=threads)
+        for w, e in zip(ws, sweep):
+            assert e == estimate_chain(s, _random_offset_twi(w), trials, seed).no_violation
+            assert type(e.p_hat) is float
+
+
+def test_anchored_sweep_compares_raw_times_at_w0():
+    # arrivals 2^-54, 0.75 + 2^-53 and 0.75: shifted by the first arrival,
+    # the inverted pair rounds to one value (ties to even), but W = 0
+    # compares raw times, so the trial is violated there
+    q = 2.0**-54
+    s = CausalChainScenario(
+        action_times=(0.0, 0.0),
+        inputs=tuple(LinkInput(Constant(v)) for v in (q, 0.75 + 2 * q, 0.75)),
+        anchor_first_arrival=True,
+    )
+    ws = [0.0, 0.5]
+    sweep = estimate_no_violation_sweep(s, ws, 100, seed=1)
+    assert [e.p_hat for e in sweep] == [0.0, 1.0]
+    for w, e in zip(ws, sweep):
+        assert e == estimate_chain(s, _random_offset_twi(w), 100, seed=1).no_violation
+
+
+def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            f = Future()
+            f.set_result(fn(*args))
+            return f
+
+    s = CausalChainScenario(
+        action_times=(0.5,),
+        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 2,
+    )
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    serial = {trials: estimate_chain(s, TwiSpec(0.0), trials, seed=3) for trials in (48, 160)}
+    for trials, threads in ((48, 1000), (160, 1000), (160, 2)):
+        assert estimate_chain(s, TwiSpec(0.0), trials, seed=3, threads=threads) == serial[trials]
+    assert sizes == [3, 4, 2]
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert estimate_chain(s, TwiSpec(0.0), 160, seed=3, threads=1000) == serial[160]
+    assert sizes == [3, 4, 2]
