@@ -13,12 +13,7 @@ from twisim.core import (
     TransmissionTimeModel,
     TwoPoint,
     UniformRange,
-    laplace_transform,
-    mean,
     sample,
-    support,
-    tail_probability,
-    trial_rng,
 )
 from twisim.twi import (
     Relation,
@@ -37,12 +32,7 @@ __all__ = [
     "TransmissionTimeModel",
     "TwoPoint",
     "UniformRange",
-    "laplace_transform",
-    "mean",
     "sample",
-    "support",
-    "tail_probability",
-    "trial_rng",
     "Relation",
     "TwiSpec",
     "detect_causality_violation",

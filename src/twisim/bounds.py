@@ -19,7 +19,6 @@ from twisim.core import (
     TransmissionTimeModel,
     ensure_duration,
     chunk_rng,
-    laplace_transform,
     sample,
     validate_model,
 )
@@ -94,7 +93,7 @@ def cv_lower_bound(
         raise ParameterError(f"lam must be > 0, got {lam!r}")
     tau = ensure_duration(tau, "tau")
     w = ensure_duration(w, "w")
-    return math.exp(-lam * (tau + w)) * laplace_transform(t2_model, lam)
+    return math.exp(-lam * (tau + w)) * t2_model.laplace(lam)
 
 
 @dataclass(frozen=True)

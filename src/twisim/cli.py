@@ -68,21 +68,13 @@ def _load(args) -> ExperimentConfig:
     if args.command == "sweep" and not cfg.w_sweep:
         raise ConfigError("w_sweep: sweep subcommand needs a nonempty w_sweep list")
 
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-        overrides["trials"] = args.trials
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["output"] = args.out
+    overrides = {} if args.out is None else {"output": args.out}
+    for name, minimum in (("seed", 0), ("trials", 1), ("threads", 1)):
+        value = getattr(args, name)
+        if value is not None:
+            if value < minimum:
+                raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
+            overrides[name] = value
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

@@ -40,7 +40,27 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "number too large for a float")
+
+
+def _as_numbers(value: Any, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        _fail(path, f"expected a list of numbers, got {value!r}")
+    if set(map(type, value)) <= {int, float}:  # one pass over long traces
+        try:
+            return tuple(map(float, value))
+        except OverflowError:
+            pass
+    return tuple(_as_number(v, path) for v in value)  # names the first bad value
+
+
+def _as_choice(value: Any, path: str, choices: tuple) -> Any:
+    if value not in choices:
+        _fail(path, f"expected one of {choices}, got {value!r}")
+    return value
 
 
 def _as_int(value: Any, path: str, minimum: int) -> int:
@@ -70,15 +90,8 @@ def model_from_dict(obj: Any, path: str = "model") -> TransmissionTimeModel:
     for f in fields(cls):
         default = _MODEL_FIELD_DEFAULTS.get(f.name, f.default)
         value = _require(obj, f.name, path) if default is MISSING else obj.get(f.name, default)
-        if f.name == "values":
-            if not isinstance(value, list) or not value:
-                _fail(f"{path}.values", "expected a nonempty list")
-            if not set(map(type, value)) <= {int, float}:
-                for v in value:  # names the first value that is not a number
-                    _as_number(v, f"{path}.values")
-            args.append(tuple(map(float, value)))
-        else:
-            args.append(_as_number(value, f"{path}.{f.name}"))
+        read = _as_numbers if f.name == "values" else _as_number
+        args.append(read(value, f"{path}.{f.name}"))
     try:
         return cls(*args)
     except ParameterError as exc:
@@ -88,6 +101,9 @@ def model_from_dict(obj: Any, path: str = "model") -> TransmissionTimeModel:
 # ---------------------------------------------------------------------------
 # Scenario inputs
 # ---------------------------------------------------------------------------
+
+
+_SENSOR_MODES = tuple(m.value for m in SensorMode)
 
 
 def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
@@ -101,9 +117,7 @@ def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
                 _as_number(obj.get("delay", 0.0), f"{path}.delay"),
             )
         if kind == "sensor":
-            mode = obj.get("mode", "synchronous")
-            if mode not in ("synchronous", "asynchronous"):
-                _fail(f"{path}.mode", f"expected 'synchronous' or 'asynchronous', got {mode!r}")
+            mode = _as_choice(obj.get("mode", "synchronous"), f"{path}.mode", _SENSOR_MODES)
             return SensorSpec(
                 t_s=_as_number(_require(obj, "t_s", path), f"{path}.t_s"),
                 tau_s=_as_number(obj.get("tau_s", 0.0), f"{path}.tau_s"),
@@ -136,16 +150,37 @@ def _twi_from_dict(obj: Any, path: str) -> TwiSpec:
         _fail(path, f"expected an object, got {obj!r}")
     window = _as_number(obj.get("window", 0.0), f"{path}.window")
     offset = obj.get("offset", 0.0)
+    offset = None if offset == "random" else _as_number(offset, f"{path}.offset")
     try:
-        if offset == "random":
-            return TwiSpec(window, offset=None)
-        return TwiSpec(window, offset=_as_number(offset, f"{path}.offset"))
+        return TwiSpec(window, offset=offset)
     except ParameterError as exc:
         _fail(path, str(exc))
 
 
 def _twi_to_dict(twi: TwiSpec) -> dict:
     return {"window": twi.window, "offset": "random" if twi.random_offset else twi.offset}
+
+
+# params fields of analytic ops and plan sections that are not plain numbers
+_PARAM_READERS = {
+    "model": model_from_dict,
+    "arrivals": _as_numbers,
+    "cause": lambda value, path: _as_choice(value, path, ("physical", "digital")),
+}
+
+
+def read_params(params: dict, spec: dict[str, Any]) -> dict[str, Any]:
+    """Checked values of the ``params`` fields in ``spec``, which maps each
+    name to its default: ``MISSING`` if required, ``None`` if it has none."""
+    out = {}
+    for name, default in spec.items():
+        if name in params:
+            out[name] = _PARAM_READERS.get(name, _as_number)(params[name], f"params.{name}")
+        elif default is MISSING:
+            _fail(f"params.{name}", "missing required field")
+        else:
+            out[name] = default
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +208,7 @@ def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         _fail(f"{path}.schema_version", f"unsupported version {version!r}")
-    kind = _require(obj, "kind", path)
-    if kind not in KINDS:
-        _fail(f"{path}.kind", f"expected one of {KINDS}, got {kind!r}")
+    kind = _as_choice(_require(obj, "kind", path), f"{path}.kind", KINDS)
 
     trials = _as_int(obj.get("trials", DEFAULT_TRIALS), f"{path}.trials", 1)
     threads = _as_int(obj.get("threads", 1), f"{path}.threads", 1)
@@ -186,48 +219,33 @@ def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
         twi = TwiSpec(0.0, 0.0)
 
     scenario = None
-    if kind in ("chain_sim", "bounds_check"):
+    if kind in ("chain_sim", "bounds_check", "fanout_sim"):
+        chain = kind != "fanout_sim"
         sc = _require(obj, "scenario", path)
         if not isinstance(sc, dict):
             _fail(f"{path}.scenario", "expected an object")
         inputs = _require(sc, "inputs", f"{path}.scenario")
-        if not isinstance(inputs, list) or len(inputs) < 2:
-            _fail(f"{path}.scenario.inputs", "expected a list of at least two inputs")
-        action_times = _require(sc, "action_times", f"{path}.scenario")
-        if not isinstance(action_times, list):
-            _fail(f"{path}.scenario.action_times", "expected a list")
-        try:
-            scenario = CausalChainScenario(
-                action_times=tuple(
-                    _as_number(t, f"{path}.scenario.action_times") for t in action_times
-                ),
-                inputs=tuple(
-                    _input_from_dict(inp, f"{path}.scenario.inputs[{i}]")
-                    for i, inp in enumerate(inputs)
-                ),
-                anchor_first_arrival=bool(sc.get("anchor_first_arrival", False)),
+        if not isinstance(inputs, list) or len(inputs) < 1 + chain:
+            _fail(
+                f"{path}.scenario.inputs",
+                "expected a list of at least two inputs" if chain else "expected a nonempty list of inputs",
             )
-        except ParameterError as exc:
-            _fail(f"{path}.scenario", str(exc))
-    elif kind == "fanout_sim":
-        sc = _require(obj, "scenario", path)
-        inputs = _require(sc, "inputs", f"{path}.scenario")
-        if not isinstance(inputs, list) or not inputs:
-            _fail(f"{path}.scenario.inputs", "expected a nonempty list of inputs")
+        if chain:
+            action_times = _require(sc, "action_times", f"{path}.scenario")
+            action_times = _as_numbers(action_times, f"{path}.scenario.action_times")
+        inputs = tuple(
+            _input_from_dict(inp, f"{path}.scenario.inputs[{i}]") for i, inp in enumerate(inputs)
+        )
         try:
-            scenario = FanOutScenario(
-                inputs=tuple(
-                    _input_from_dict(inp, f"{path}.scenario.inputs[{i}]")
-                    for i, inp in enumerate(inputs)
-                )
-            )
+            if chain:
+                anchor = bool(sc.get("anchor_first_arrival", False))
+                scenario = CausalChainScenario(action_times, inputs, anchor)
+            else:
+                scenario = FanOutScenario(inputs)
         except ParameterError as exc:
             _fail(f"{path}.scenario", str(exc))
 
-    w_sweep = obj.get("w_sweep", [])
-    if not isinstance(w_sweep, list):
-        _fail(f"{path}.w_sweep", "expected a list")
-    sweep = tuple(_as_number(w, f"{path}.w_sweep") for w in w_sweep)
+    sweep = _as_numbers(obj.get("w_sweep", []), f"{path}.w_sweep")
     if sweep and any(b <= a for a, b in zip(sweep, sweep[1:])):
         _fail(f"{path}.w_sweep", "values must be strictly increasing")
 
@@ -282,12 +300,14 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(obj, path)
 
 

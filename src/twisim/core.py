@@ -313,55 +313,17 @@ def validate_model(model: TransmissionTimeModel) -> None:
         raise ParameterError(f"unknown transmission-time model: {model!r}")
 
 
-def support(model: TransmissionTimeModel) -> tuple[float, float]:
-    """Tight support bounds (t_min, t_max); t_max may be +inf."""
-    return model.support()
-
-
-def mean(model: TransmissionTimeModel) -> float:
-    """Analytic expectation of the model."""
-    return model.mean()
-
-
-def tail_probability(model: TransmissionTimeModel, w: float) -> float:
-    """Exact Pr[T > w] under the model."""
-    return model.tail(float(w))
-
-
-def laplace_transform(model: TransmissionTimeModel, lam: float) -> float:
-    """E[exp(-lam * T)]; analytic except for Empirical (exact sample average)."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ParameterError(f"lam must be >= 0, got {lam!r}")
-    return model.laplace(lam)
-
-
-def sample(
-    model: TransmissionTimeModel,
-    rng: np.random.Generator,
-    size: Optional[int] = None,
-):
-    """Draw from the model; returns a float for size=None, else an ndarray.
-
-    The draw count per call is fixed by (model, size) so that streams replay
-    bit-identically.
-    """
+def sample(model: TransmissionTimeModel, rng: np.random.Generator, size: Optional[int] = None):
+    """``model.sample(rng, size)``; the Monte-Carlo estimators draw through here."""
     return model.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------
-# Reproducible per-trial streams
+# Reproducible per-chunk streams
 # ---------------------------------------------------------------------------
 
-# Domain tags keep single-trial and chunked streams from colliding.
-_TRIAL_DOMAIN = 0
+# Chunk c draws from spawn_key=(_CHUNK_DOMAIN, c); fixed so that seeds replay.
 _CHUNK_DOMAIN = 1
-
-
-def trial_rng(seed: RandomSeed, trial_index: int) -> np.random.Generator:
-    """Independent stream for one trial; deterministic in (seed, trial_index)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_TRIAL_DOMAIN, int(trial_index)))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def chunk_rng(seed: RandomSeed, chunk_index: int) -> np.random.Generator:

@@ -17,15 +17,11 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
 from twisim import __version__, analytics, bounds, planner
-from twisim.config import (
-    ConfigError,
-    ExperimentConfig,
-    model_from_dict,
-    serialize_config,
-)
+from twisim.config import ConfigError, ExperimentConfig, read_params, serialize_config
 from twisim.core import Constant, ShiftedExponential, TwoPoint
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import (
@@ -38,7 +34,7 @@ from twisim.mc import (
     estimate_no_violation_sweep,
     estimate_sim_violation,
 )
-from twisim.twi import TwiSpec
+from twisim.twi import TwiSpec, event_throughput_loss
 
 
 def _fmt(value) -> str:
@@ -69,19 +65,23 @@ def _sigma_distance(estimate: float, analytic: Optional[float], std_err: float):
     return diff / std_err
 
 
-def _estimate_row(cfg: ExperimentConfig, e: ViolationEstimate, **extra) -> dict:
-    row = {
+def _estimate_row(
+    cfg: ExperimentConfig, e: ViolationEstimate, kind: str, n: int, w: float, analytic=None
+) -> dict:
+    return {
         "scenario_id": cfg.scenario_id,
+        "kind": kind,
+        "n": n,
+        "w": w,
         "trials": e.trials,
         "estimate": e.p_hat,
         "std_err": e.std_err,
         "ci_lo": e.ci95[0],
         "ci_hi": e.ci95[1],
+        "analytic_value": analytic,
+        "bound_value": None,
+        "sigma_distance": _sigma_distance(e.p_hat, analytic, e.std_err),
     }
-    row.update(extra)
-    if "analytic_value" in row:
-        row["sigma_distance"] = _sigma_distance(e.p_hat, row["analytic_value"], e.std_err)
-    return row
 
 
 SIM_HEADER = (
@@ -103,28 +103,16 @@ SIM_HEADER = (
 def _run_chain_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     s = cfg.scenario
     assert isinstance(s, CausalChainScenario)
-    rows = []
     if cfg.w_sweep:
         crn = bool(cfg.params.get("common_random_numbers", True))
         estimates = estimate_no_violation_sweep(
             s, cfg.w_sweep, cfg.trials, cfg.seed, common_random_numbers=crn, threads=cfg.threads
         )
-        for w, e in zip(cfg.w_sweep, estimates):
-            rows.append(
-                _estimate_row(
-                    cfg, e, kind="chain_no_violation", n=s.n, w=w,
-                    analytic_value=None, bound_value=None,
-                )
-            )
+        pairs = zip(cfg.w_sweep, estimates)
     else:
         e = estimate_chain(s, cfg.twi, cfg.trials, cfg.seed, cfg.threads).no_violation
-        rows.append(
-            _estimate_row(
-                cfg, e, kind="chain_no_violation", n=s.n, w=cfg.twi.window,
-                analytic_value=None, bound_value=None,
-            )
-        )
-    return SIM_HEADER, rows
+        pairs = [(cfg.twi.window, e)]
+    return SIM_HEADER, [_estimate_row(cfg, e, "chain_no_violation", s.n, w) for w, e in pairs]
 
 
 def _deterministic_arrival(inp) -> Optional[float]:
@@ -143,11 +131,7 @@ def _run_fanout_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]
     analytic = None
     if cfg.twi.random_offset and all(a is not None for a in arrivals):
         analytic = analytics.p_sim_violation_n(arrivals, cfg.twi.window)
-    row = _estimate_row(
-        cfg, e, kind="fanout_sim_violation", n=s.n, w=cfg.twi.window,
-        analytic_value=analytic, bound_value=None,
-    )
-    return SIM_HEADER, [row]
+    return SIM_HEADER, [_estimate_row(cfg, e, "fanout_sim_violation", s.n, cfg.twi.window, analytic)]
 
 
 BOUNDS_HEADER = (
@@ -187,102 +171,110 @@ def _run_bounds_check(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict
 
 NAME_VALUE_HEADER = ("scenario_id", "op", "name", "value")
 
+# The fields of analytics.TwoInputParams, the two-input receiver.
+_TWO_INPUT = {"t_s": MISSING, "tau_s": 0.0, "tau_a": 0.0, "t_min": 0.0, "t_max": math.inf, "w": 0.0}
+_CV = {"t_s": MISSING, "t_d": MISSING, "w": MISSING}
+_CONDITIONS = ("never_violated", "certainly_violated", "w_min", "w_min_raw")
 
-def _two_input_params(p: dict) -> analytics.TwoInputParams:
-    return analytics.TwoInputParams(
-        t_s=p["t_s"],
-        tau_s=p.get("tau_s", 0.0),
-        tau_a=p.get("tau_a", 0.0),
-        t_min=p.get("t_min", 0.0),
-        t_max=p.get("t_max", math.inf),
-        w=p.get("w", 0.0),
-    )
+
+def _conditions(fn):
+    return lambda t_ab, **p: astuple(fn(analytics.TwoInputParams(**p), t_ab))
+
+
+def _expected_cv(model, cause, **p):
+    return analytics.expected_cv_two_input(analytics.TwoInputParams(**p), model, cause)
+
+
+def _latency_budget(**p):
+    budget = planner.latency_budget_digital_cause(**p)
+    return budget.max_t_ab, budget.radio_budget
+
+
+def _miss(model, w):
+    report = planner.p_miss_unknown_edge(model, w)
+    return planner.p_miss_known_edge(model, w), report.nominal_value, report.exact_value
+
+
+def _slot_grid(slot, w, t):
+    grid = planner.SlotGrid(slot)
+    on_grid = None if w is None else planner.validate_twi_on_grid(w, grid)
+    return on_grid, None if t is None else planner.quantize_to_slots(t, grid)
+
+
+# An analytic op or a plan section: the params fields it reads, each with its
+# default (MISSING if required, None if it has none), as config.read_params
+# reads them; its output names; and fn(**fields), which returns the value of
+# a single output, else one value per name (None: left out).
+ANALYTIC_OPS = {
+    "two_sensor_min_window": (
+        {"t_s1": MISSING, "t_s2": MISSING, "tau_s1": 0.0, "tau_s2": 0.0},
+        ("w_min",),
+        analytics.twi_two_sensor_min_window,
+    ),
+    "sim_violation_n": (
+        {"arrivals": MISSING, "w": MISSING},
+        ("p_violation",),
+        lambda arrivals, w: analytics.p_sim_violation_n(arrivals, w),
+    ),
+    "cv_physical_cause": (_CV, ("p_violation",), analytics.p_cv_physical_cause),
+    "cv_digital_cause": (_CV, ("p_violation",), analytics.p_cv_digital_cause),
+    "conditions_physical_cause": (
+        {**_TWO_INPUT, "t_ab": MISSING},
+        _CONDITIONS,
+        _conditions(analytics.causality_conditions_physical_cause),
+    ),
+    "conditions_digital_cause": (
+        {**_TWO_INPUT, "t_ab": MISSING},
+        _CONDITIONS,
+        _conditions(analytics.causality_conditions_digital_cause),
+    ),
+    "expected_cv_two_input": (
+        {**_TWO_INPUT, "model": MISSING, "cause": "physical"},
+        ("p_violation",),
+        _expected_cv,
+    ),
+    "event_throughput_loss": ({"w": MISSING, "t_0": MISSING}, ("loss",), event_throughput_loss),
+}
+
+# A plan runs each section whose key is in params, in this order.
+PLAN_SECTIONS = {
+    "sender_budget": (
+        {"t_s": MISSING, "tau_a": 0.0, "tau_s": 0.0, "sender_budget": MISSING},
+        ("max_t_ab", "radio_budget"),
+        _latency_budget,
+    ),
+    "model": (
+        {"model": MISSING, "w": MISSING},
+        ("p_miss_known_edge", "p_miss_nominal", "p_miss_exact"),
+        _miss,
+    ),
+    "slot": ({"slot": MISSING, "w": None, "t": None}, ("twi_on_grid", "slot_index"), _slot_grid),
+}
+
+
+def _name_value_rows(cfg: ExperimentConfig, op: str, entries) -> list[dict]:
+    rows = []
+    for fields, names, fn in entries:
+        values = fn(**read_params(cfg.params, fields))
+        for name, value in zip(names, values if len(names) > 1 else (values,)):
+            if value is not None:
+                rows.append({"scenario_id": cfg.scenario_id, "op": op, "name": name, "value": value})
+    return rows
 
 
 def _run_analytic(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
-    p = cfg.params
-    op = p.get("op")
-    out: list[tuple[str, object]] = []
-    try:
-        if op == "two_sensor_min_window":
-            out.append(
-                (
-                    "w_min",
-                    analytics.twi_two_sensor_min_window(
-                        p["t_s1"], p["t_s2"], p.get("tau_s1", 0.0), p.get("tau_s2", 0.0)
-                    ),
-                )
-            )
-        elif op == "sim_violation_n":
-            out.append(("p_violation", analytics.p_sim_violation_n(p["arrivals"], p["w"])))
-        elif op == "cv_physical_cause":
-            out.append(("p_violation", analytics.p_cv_physical_cause(p["t_s"], p["t_d"], p["w"])))
-        elif op == "cv_digital_cause":
-            out.append(("p_violation", analytics.p_cv_digital_cause(p["t_s"], p["t_d"], p["w"])))
-        elif op in ("conditions_physical_cause", "conditions_digital_cause"):
-            params = _two_input_params(p)
-            fn = (
-                analytics.causality_conditions_physical_cause
-                if op == "conditions_physical_cause"
-                else analytics.causality_conditions_digital_cause
-            )
-            report = fn(params, p["t_ab"])
-            out.extend(
-                [
-                    ("never_violated", report.never_violated),
-                    ("certainly_violated", report.certainly_violated),
-                    ("w_min", report.w_min),
-                    ("w_min_raw", report.w_min_raw),
-                ]
-            )
-        elif op == "expected_cv_two_input":
-            params = _two_input_params(p)
-            model = model_from_dict(p["model"], "params.model")
-            out.append(
-                ("p_violation", analytics.expected_cv_two_input(params, model, p.get("cause", "physical")))
-            )
-        elif op == "event_throughput_loss":
-            from twisim.twi import event_throughput_loss
-
-            out.append(("loss", event_throughput_loss(p["w"], p["t_0"])))
-        else:
-            raise ConfigError(f"params.op: unknown analytic operation {op!r}")
-    except KeyError as exc:
-        raise ConfigError(f"params.{exc.args[0]}: missing required field for op {op!r}") from exc
-    rows = [
-        {"scenario_id": cfg.scenario_id, "op": op, "name": name, "value": value}
-        for name, value in out
-    ]
-    return NAME_VALUE_HEADER, rows
+    op = cfg.params.get("op")
+    entry = ANALYTIC_OPS.get(op) if isinstance(op, str) else None
+    if entry is None:
+        raise ConfigError(f"params.op: unknown analytic operation {op!r}")
+    return NAME_VALUE_HEADER, _name_value_rows(cfg, op, [entry])
 
 
 def _run_plan(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
-    p = cfg.params
-    out: list[tuple[str, object]] = []
-    if "sender_budget" in p:
-        budget = planner.latency_budget_digital_cause(
-            p["t_s"], p.get("tau_a", 0.0), p.get("tau_s", 0.0), p["sender_budget"]
-        )
-        out.append(("max_t_ab", budget.max_t_ab))
-        out.append(("radio_budget", budget.radio_budget))
-    if "model" in p and "w" in p:
-        model = model_from_dict(p["model"], "params.model")
-        out.append(("p_miss_known_edge", planner.p_miss_known_edge(model, p["w"])))
-        report = planner.p_miss_unknown_edge(model, p["w"])
-        out.append(("p_miss_nominal", report.nominal_value))
-        out.append(("p_miss_exact", report.exact_value))
-    if "slot" in p:
-        grid = planner.SlotGrid(p["slot"])
-        if "w" in p:
-            out.append(("twi_on_grid", planner.validate_twi_on_grid(p["w"], grid)))
-        if "t" in p:
-            out.append(("slot_index", planner.quantize_to_slots(p["t"], grid)))
-    if not out:
+    sections = [entry for key, entry in PLAN_SECTIONS.items() if key in cfg.params]
+    rows = _name_value_rows(cfg, "plan", sections)
+    if not rows:
         raise ConfigError("params: plan config needs sender_budget, model+w, or slot entries")
-    rows = [
-        {"scenario_id": cfg.scenario_id, "op": "plan", "name": name, "value": value}
-        for name, value in out
-    ]
     return NAME_VALUE_HEADER, rows
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from twisim.core import Duration, ParameterError, TimePoint, ensure_duration, ensure_time
+from twisim.core import Duration, ParameterError, TimePoint, _as_draws, ensure_duration, ensure_time
 
 
 class SensorMode(enum.Enum):
@@ -62,14 +62,8 @@ def sample_sensor_detection_time(
     """
     base = spec.tau_s + spec.t_s
     if spec.mode is SensorMode.ASYNCHRONOUS:
-        if size is None:
-            return base
-        return np.full(size, base)
-    phi = rng.uniform(0.0, spec.t_s, size=size)
-    out = base + phi
-    if size is None:
-        return float(out)
-    return out
+        return base if size is None else np.full(size, base)
+    return _as_draws(base + rng.uniform(0.0, spec.t_s, size=size), size)
 
 
 def max_event_rate(spec: SensorSpec) -> float:

@@ -11,7 +11,6 @@ from twisim.core import (
     TimePoint,
     TransmissionTimeModel,
     ensure_duration,
-    tail_probability,
 )
 from twisim.twi import stamp
 
@@ -55,7 +54,7 @@ def latency_budget_digital_cause(
 
 def p_miss_known_edge(t_model: TransmissionTimeModel, w: Duration) -> float:
     """Pr[T > W] when the sender knows the window start and transmits at it."""
-    return tail_probability(t_model, ensure_duration(w, "w"))
+    return t_model.tail(ensure_duration(w, "w"))
 
 
 @dataclass(frozen=True)

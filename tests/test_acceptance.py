@@ -21,7 +21,7 @@ from twisim.bounds import (
     verify_ordering_lemma,
 )
 from twisim.cli import main
-from twisim.core import Constant, ShiftedExponential, TwoPoint, UniformRange, support
+from twisim.core import Constant, ShiftedExponential, TwoPoint, UniformRange
 from twisim.harness import reproduce_two_rate_curve, reproduce_window_sweep
 from twisim.mc import (
     CausalChainScenario,
@@ -134,7 +134,7 @@ def test_criterion_3_ordering_lemma():
         # side of the inequality is estimable
         while True:
             models = [_random_model(r) for _ in range(3)]
-            if support(models[0])[0] <= support(models[1])[1]:
+            if models[0].support()[0] <= models[1].support()[1]:
                 break
         report = verify_ordering_lemma(models, trials=150_000, seed=1000 + i)
         assert report.conclusive, f"triple {i} had no conditioning mass: {models}"

@@ -16,7 +16,7 @@ from twisim.analytics import (
     p_sim_violation_pair,
     twi_two_sensor_min_window,
 )
-from twisim.core import Constant, ParameterError, ShiftedExponential, UniformRange, trial_rng
+from twisim.core import Constant, ParameterError, ShiftedExponential, UniformRange, chunk_rng
 
 times = st.floats(min_value=0.0, max_value=1e6)
 widths = st.floats(min_value=0.0, max_value=1e6)
@@ -154,7 +154,7 @@ def test_t_ab_outside_support_rejected():
 
 def _mc_expected_cv(p, model, cause, trials=400_000, seed=12345):
     """Plain-numpy reference: average the conditional ramp over phi and T."""
-    rng = trial_rng(seed, 0)
+    rng = chunk_rng(seed, 0)
     phi = rng.uniform(0.0, p.t_s, trials)
     from twisim.core import sample
 

@@ -19,7 +19,6 @@ from twisim.core import (
     ShiftedExponential,
     TwoPoint,
     UniformRange,
-    laplace_transform,
 )
 
 probs = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=9)
@@ -121,11 +120,11 @@ def test_cv_lower_bound_below_conditional_average():
     # the bound never exceeds E[cv_given_times(T1, T2, tau, W)]
     import numpy as np
 
-    from twisim.core import sample, trial_rng
+    from twisim.core import chunk_rng, sample
 
     lam, tau, w = 1.5, 0.2, 0.4
     t2_model = UniformRange(0.0, 0.5)
-    rng = trial_rng(77, 0)
+    rng = chunk_rng(77, 0)
     t1 = sample(ShiftedExponential(0.0, lam), rng, 400_000)
     t2 = sample(t2_model, rng, 400_000)
     excess = t1 - (tau + t2)

@@ -12,12 +12,8 @@ from twisim.core import (
     ShiftedExponential,
     TwoPoint,
     UniformRange,
-    laplace_transform,
-    mean,
+    chunk_rng,
     sample,
-    support,
-    tail_probability,
-    trial_rng,
     validate_model,
 )
 
@@ -31,30 +27,30 @@ MODELS = [
 
 
 def test_support_examples():
-    assert support(Constant(0.003)) == (0.003, 0.003)
-    assert support(UniformRange(1.0, 2.0)) == (1.0, 2.0)
-    assert support(ShiftedExponential(0.5, 1.0)) == (0.5, math.inf)
-    assert support(TwoPoint(2.0, 1.0, 0.5)) == (1.0, 2.0)
-    assert support(TwoPoint(2.0, 1.0, 1.0)) == (2.0, 2.0)
+    assert Constant(0.003).support() == (0.003, 0.003)
+    assert UniformRange(1.0, 2.0).support() == (1.0, 2.0)
+    assert ShiftedExponential(0.5, 1.0).support() == (0.5, math.inf)
+    assert TwoPoint(2.0, 1.0, 0.5).support() == (1.0, 2.0)
+    assert TwoPoint(2.0, 1.0, 1.0).support() == (2.0, 2.0)
 
 
 def test_mean_examples():
-    assert mean(Constant(0.003)) == 0.003
-    assert mean(TwoPoint(2.0, 1.0, 0.5)) == 1.5
-    assert mean(ShiftedExponential(1.0, 4.0)) == 1.25
-    assert mean(Empirical((1.0, 3.0))) == 2.0
+    assert Constant(0.003).mean() == 0.003
+    assert TwoPoint(2.0, 1.0, 0.5).mean() == 1.5
+    assert ShiftedExponential(1.0, 4.0).mean() == 1.25
+    assert Empirical((1.0, 3.0)).mean() == 2.0
 
 
 def test_constant_sampling_is_degenerate():
-    rng = trial_rng(0, 0)
+    rng = chunk_rng(0, 0)
     assert sample(Constant(0.003), rng) == 0.003
     assert np.all(sample(Constant(0.003), rng, 100) == 0.003)
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_samples_within_support(model):
-    lo, hi = support(model)
-    draws = sample(model, trial_rng(123, 0), 1_000_000)
+    lo, hi = model.support()
+    draws = sample(model, chunk_rng(123, 0), 1_000_000)
     assert draws.min() >= lo
     if math.isfinite(hi):
         assert draws.max() <= hi
@@ -63,21 +59,21 @@ def test_samples_within_support(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_empirical_mean_matches_analytic(model):
     n = 1_000_000
-    draws = sample(model, trial_rng(7, 1), n)
+    draws = sample(model, chunk_rng(7, 1), n)
     se = draws.std(ddof=1) / math.sqrt(n)
-    assert abs(draws.mean() - mean(model)) <= 4.0 * se + 1e-15
+    assert abs(draws.mean() - model.mean()) <= 4.0 * se + 1e-15
 
 
 def test_shifted_exponential_mean_half_tau():
     # rate 2/tau gives mean tau/2
     tau = 3.0
-    draws = sample(ShiftedExponential(0.0, 2.0 / tau), trial_rng(11, 0), 1_000_000)
+    draws = sample(ShiftedExponential(0.0, 2.0 / tau), chunk_rng(11, 0), 1_000_000)
     se = draws.std(ddof=1) / 1000.0
     assert abs(draws.mean() - 0.5 * tau) <= 4.0 * se
 
 
 def test_two_point_frequencies():
-    draws = sample(TwoPoint(2.0, 1.0, 0.5), trial_rng(5, 0), 1_000_000)
+    draws = sample(TwoPoint(2.0, 1.0, 0.5), chunk_rng(5, 0), 1_000_000)
     freq = np.mean(draws == 2.0)
     assert abs(freq - 0.5) <= 4.0 * 0.5 / 1000.0
 
@@ -85,11 +81,11 @@ def test_two_point_frequencies():
 @pytest.mark.parametrize("p_a", [0.0, 0.3, 1.0])
 def test_two_point_sample_matches_the_where_form(p_a):
     model = TwoPoint(2.0, 1.0, p_a)
-    draws = model.sample(trial_rng(4, 0), 1000)
-    u = trial_rng(4, 0).random(1000)
+    draws = model.sample(chunk_rng(4, 0), 1000)
+    u = chunk_rng(4, 0).random(1000)
     assert draws.dtype == np.float64
     assert np.array_equal(draws, np.where(u < p_a, 2.0, 1.0))
-    rng, ref = trial_rng(4, 1), trial_rng(4, 1)
+    rng, ref = chunk_rng(4, 1), chunk_rng(4, 1)
     for _ in range(50):
         x = model.sample(rng)
         assert type(x) is float
@@ -98,32 +94,32 @@ def test_two_point_sample_matches_the_where_form(p_a):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_streams_replay_bit_identically(model):
-    a = sample(model, trial_rng(99, 3), 1000)
-    b = sample(model, trial_rng(99, 3), 1000)
+    a = sample(model, chunk_rng(99, 3), 1000)
+    b = sample(model, chunk_rng(99, 3), 1000)
     assert np.array_equal(a, b)
 
 
 def test_distinct_trial_indices_give_distinct_streams():
-    a = sample(UniformRange(0.0, 1.0), trial_rng(99, 0), 100)
-    b = sample(UniformRange(0.0, 1.0), trial_rng(99, 1), 100)
+    a = sample(UniformRange(0.0, 1.0), chunk_rng(99, 0), 100)
+    b = sample(UniformRange(0.0, 1.0), chunk_rng(99, 1), 100)
     assert not np.array_equal(a, b)
 
 
 def test_tail_probability():
-    assert tail_probability(Constant(0.003), 0.030) == 0.0
-    assert tail_probability(Constant(0.003), 0.001) == 1.0
-    assert tail_probability(UniformRange(0.0, 2.0), 1.0) == 0.5
-    assert tail_probability(ShiftedExponential(0.0, 2.0), 1.0) == pytest.approx(math.exp(-2.0))
-    assert tail_probability(TwoPoint(2.0, 1.0, 0.25), 1.5) == 0.25
-    assert tail_probability(Empirical((1.0, 2.0, 3.0, 4.0)), 2.5) == 0.5
+    assert Constant(0.003).tail(0.030) == 0.0
+    assert Constant(0.003).tail(0.001) == 1.0
+    assert UniformRange(0.0, 2.0).tail(1.0) == 0.5
+    assert ShiftedExponential(0.0, 2.0).tail(1.0) == pytest.approx(math.exp(-2.0))
+    assert TwoPoint(2.0, 1.0, 0.25).tail(1.5) == 0.25
+    assert Empirical((1.0, 2.0, 3.0, 4.0)).tail(2.5) == 0.5
 
 
 def test_laplace_transform_against_sampling():
     lam = 1.3
     for model in MODELS:
-        draws = sample(model, trial_rng(17, 0), 400_000)
+        draws = sample(model, chunk_rng(17, 0), 400_000)
         emp = np.exp(-lam * draws).mean()
-        assert laplace_transform(model, lam) == pytest.approx(emp, abs=4e-3)
+        assert model.laplace(lam) == pytest.approx(emp, abs=4e-3)
 
 
 @pytest.mark.parametrize(
@@ -156,10 +152,10 @@ def test_validate_model_rejects_non_models():
 )
 @settings(max_examples=50, deadline=None)
 def test_uniform_mean_is_midpoint(low, span):
-    assert mean(UniformRange(low, low + span)) == pytest.approx(low + span / 2.0)
+    assert UniformRange(low, low + span).mean() == pytest.approx(low + span / 2.0)
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_trial_rng_deterministic(seed, idx):
-    assert trial_rng(seed, idx).random(8).tolist() == trial_rng(seed, idx).random(8).tolist()
+    assert chunk_rng(seed, idx).random(8).tolist() == chunk_rng(seed, idx).random(8).tolist()

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
+from dataclasses import MISSING, asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twisim
-from twisim import harness
+from twisim import analytics, harness, planner
 from twisim.cli import main
 from twisim.config import (
     ConfigError,
@@ -19,12 +22,15 @@ from twisim.config import (
 )
 from twisim.core import Empirical, ShiftedExponential, TwoPoint, UniformRange
 from twisim.harness import (
+    ANALYTIC_OPS,
+    PLAN_SECTIONS,
     exponential_chain,
     reproduce_two_rate_curve,
     rows_to_csv,
     run_experiment,
     two_rate_chain,
 )
+from twisim.twi import event_throughput_loss
 
 CHAIN_CFG = {
     "kind": "chain_sim",
@@ -94,6 +100,9 @@ def test_config_errors_name_the_field():
     ]:
         with pytest.raises(ConfigError, match=f"config.{name}"):
             config_from_dict({"kind": "reproduce", name: bad})
+    for scenario in (5, "inputs", []):
+        with pytest.raises(ConfigError, match="config.scenario: expected an object"):
+            config_from_dict({"kind": "fanout_sim", "scenario": scenario})
     sensor = {"type": "sensor", "t_s": 0.01, "d_s": "8"}
     with pytest.raises(ConfigError, match=r"inputs\[0\]\.d_s"):
         config_from_dict({"kind": "fanout_sim", "scenario": {"inputs": [sensor]}})
@@ -106,6 +115,13 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(str(path))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
+    path.write_bytes(b'{"kind": "reproduce", "scenario_id": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(str(path))
+    # Python refuses integer literals of more than 4300 digits
+    path.write_text('{"kind": "reproduce", "seed": ' + "9" * 5000 + "}")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(str(path))
 
 
 def test_rows_to_csv_formatting():
@@ -324,3 +340,211 @@ def test_cli_sweep(tmp_path):
     assert main(["sweep", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4  # header + one row per window
+
+
+# ---------------------------------------------------------------------------
+# analytic ops and plan sections
+# ---------------------------------------------------------------------------
+
+MODEL = {"kind": "uniform", "low": 0.0, "high": 0.01}
+RECEIVER = {"t_s": 0.01, "tau_s": 0.002, "tau_a": 0.001, "t_min": 0.0, "t_max": 0.03, "w": 0.004}
+TWO = analytics.TwoInputParams(**RECEIVER)
+
+
+CV = {"op": "cv_physical_cause", "t_s": 1.0, "t_d": 0.5}
+CONDITIONS = {"t_s": 1.0, "t_ab": 0.5}
+
+
+@pytest.mark.parametrize(
+    "kind, params, field",
+    [
+        # missing fields, and values of the wrong type
+        pytest.param(
+            "analytic", {"op": "sim_violation_n", "arrivals": 5, "w": 1.0}, "arrivals", id="arrivals-5"
+        ),
+        pytest.param("analytic", {**CV, "w": None}, "w", id="w-null"),
+        pytest.param(
+            "analytic", {"op": "conditions_digital_cause", **CONDITIONS, "t_max": None}, "t_max",
+            id="t_max-null",
+        ),
+        pytest.param("plan", {"slot": None, "w": 1.0}, "slot", id="plan-slot-null"),
+        pytest.param("plan", {"sender_budget": 0.01}, "t_s", id="plan-budget-without-t_s"),
+        # strings where a number or a cause belongs
+        pytest.param("analytic", {**CV, "w": "x"}, "w", id="w-x"),
+        pytest.param(
+            "analytic", {"op": "conditions_physical_cause", **CONDITIONS, "tau_a": "x"}, "tau_a",
+            id="tau_a-x",
+        ),
+        pytest.param(
+            "analytic", {"op": "expected_cv_two_input", "t_s": 1.0, "model": MODEL, "cause": "nope"},
+            "cause",
+            id="cause-nope",
+        ),
+        # values float() would take, and a plan model section without its w
+        pytest.param("analytic", {**CV, "w": True}, "w", id="w-true"),
+        pytest.param("analytic", {**CV, "w": "0.5"}, "w", id="w-numeric-string"),
+        pytest.param(
+            "plan", {"model": MODEL, "slot": 0.5, "t": 1.0}, "w", id="plan-model-and-slot-without-w"
+        ),
+        pytest.param("analytic", {"op": ["sim_violation_n"]}, "op", id="op-list"),
+    ],
+)
+def test_malformed_params_exit_2_naming_the_field(tmp_path, capsys, kind, params, field):
+    assert main([kind, write_cfg(tmp_path, {"kind": kind, "params": params})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: params.{field}: ")
+    assert "Traceback" not in err
+
+
+HUGE = 10**400  # parses as a Python int, overflows float()
+
+
+def _fanout(model):
+    return {"kind": "fanout_sim", "scenario": {"inputs": [{"type": "link", "model": model}]}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    [
+        pytest.param(
+            "simulate",
+            _fanout({"kind": "constant", "value": HUGE}),
+            "config.json.scenario.inputs[0].model.value",
+            id="constant-value",
+        ),
+        pytest.param(
+            "simulate",
+            _fanout({"kind": "empirical", "values": [0.1, HUGE]}),
+            "config.json.scenario.inputs[0].model.values",
+            id="empirical-value",
+        ),
+        pytest.param(
+            "simulate", {**CHAIN_CFG, "twi": {"window": HUGE}}, "config.json.twi.window", id="twi-window"
+        ),
+        pytest.param(
+            "analytic",
+            {"kind": "analytic", "params": {"op": "cv_physical_cause", "t_s": 1.0, "t_d": HUGE, "w": 1.0}},
+            "params.t_d",
+            id="analytic-param",
+        ),
+    ],
+)
+def test_a_number_too_large_for_a_float_exits_2(tmp_path, capsys, command, cfg, path):
+    assert main([command, write_cfg(tmp_path, cfg, "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: number too large for a float" in err
+    assert "Traceback" not in err
+
+
+def _values(kind, params):
+    _, rows = run_experiment(config_from_dict({"kind": kind, "params": params}))
+    return {row["name"]: row["value"] for row in rows}
+
+
+OP_CASES = [
+    (
+        {"op": "two_sensor_min_window", "t_s1": 0.01, "t_s2": 0.002, "tau_s2": 0.005},
+        {"w_min": analytics.twi_two_sensor_min_window(0.01, 0.002, 0.0, 0.005)},
+    ),
+    (
+        {"op": "sim_violation_n", "arrivals": [0.1, 0.4, 0.2], "w": 0.5},
+        {"p_violation": analytics.p_sim_violation_n([0.1, 0.4, 0.2], 0.5)},
+    ),
+    (
+        {"op": "cv_physical_cause", "t_s": 0.3, "t_d": 0.1, "w": 0.5},
+        {"p_violation": analytics.p_cv_physical_cause(0.3, 0.1, 0.5)},
+    ),
+    (
+        {"op": "cv_digital_cause", "t_s": 0.1, "t_d": 0.3, "w": 0.5},
+        {"p_violation": analytics.p_cv_digital_cause(0.1, 0.3, 0.5)},
+    ),
+    (
+        {"op": "conditions_physical_cause", **RECEIVER, "t_ab": 0.02},
+        asdict(analytics.causality_conditions_physical_cause(TWO, 0.02)),
+    ),
+    (
+        {"op": "conditions_digital_cause", **RECEIVER, "t_ab": 0.02},
+        asdict(analytics.causality_conditions_digital_cause(TWO, 0.02)),
+    ),
+    (
+        {"op": "expected_cv_two_input", **RECEIVER, "model": MODEL, "cause": "digital"},
+        {"p_violation": analytics.expected_cv_two_input(TWO, UniformRange(0.0, 0.01), "digital")},
+    ),
+    (
+        {"op": "event_throughput_loss", "w": 0.004, "t_0": 0.01},
+        {"loss": event_throughput_loss(0.004, 0.01)},
+    ),
+]
+
+
+@pytest.mark.parametrize("params, expected", OP_CASES, ids=[params["op"] for params, _ in OP_CASES])
+def test_each_analytic_op_matches_a_direct_call(params, expected):
+    assert set(expected) == set(ANALYTIC_OPS[params["op"]][1])
+    assert _values("analytic", params) == expected
+
+
+def test_each_plan_section_matches_a_direct_call():
+    model = UniformRange(0.0, 0.01)
+    budget = planner.latency_budget_digital_cause(0.01, 0.001, 0.002, 0.004)
+    assert _values("plan", {"sender_budget": 0.004, "t_s": 0.01, "tau_a": 0.001, "tau_s": 0.002}) == {
+        "max_t_ab": budget.max_t_ab,
+        "radio_budget": budget.radio_budget,
+    }
+    unknown = planner.p_miss_unknown_edge(model, 0.004)
+    assert _values("plan", {"model": MODEL, "w": 0.004}) == {
+        "p_miss_known_edge": planner.p_miss_known_edge(model, 0.004),
+        "p_miss_nominal": unknown.nominal_value,
+        "p_miss_exact": unknown.exact_value,
+    }
+    grid = planner.SlotGrid(0.002)
+    assert _values("plan", {"slot": 0.002, "w": 0.005, "t": 0.0051}) == {
+        "twi_on_grid": planner.validate_twi_on_grid(0.005, grid),
+        "slot_index": planner.quantize_to_slots(0.0051, grid),
+    }
+    assert _values("plan", {"slot": 0.002, "t": 0.0051}) == {"slot_index": 3}
+    # sections run in table order, each once
+    params = {"slot": 0.002, "w": 0.004, "sender_budget": 0.004, "t_s": 0.01}
+    _, rows = run_experiment(config_from_dict({"kind": "plan", "params": params}))
+    assert [r["name"] for r in rows] == ["max_t_ab", "radio_budget", "twi_on_grid"]
+    with pytest.raises(ConfigError, match="params: plan config needs"):
+        run_experiment(config_from_dict({"kind": "plan", "params": {"slot": 0.002}}))
+
+
+def _readme_default(default):
+    if default is None:
+        return "none"
+    if isinstance(default, str):
+        return f'"{default}"'
+    return "inf" if default == math.inf else f"{default:g}"
+
+
+def test_readme_lists_every_analytic_op_and_plan_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = []
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0] in ("analytic", "plan"):
+            kind, (name,), required, optional, outputs = (
+                cells[0], re.findall(r"`(\w+)`", cells[1]), *cells[2:]
+            )
+            listed.append(
+                (
+                    kind,
+                    name,
+                    set(re.findall(r"`(\w+)`", required)),
+                    dict(re.findall(r"`(\w+)` \(([^)]*)\)", optional)),
+                    tuple(re.findall(r"`(\w+)`", outputs)),
+                )
+            )
+    expected = [
+        (
+            kind,
+            name,
+            {f for f, d in fields.items() if d is MISSING},
+            {f: _readme_default(d) for f, d in fields.items() if d is not MISSING},
+            names,
+        )
+        for kind, table in (("analytic", ANALYTIC_OPS), ("plan", PLAN_SECTIONS))
+        for name, (fields, names, _) in table.items()
+    ]
+    assert listed == expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisim.core import ParameterError, trial_rng
+from twisim.core import ParameterError, chunk_rng
 from twisim.inputs import (
     SensorMode,
     SensorSpec,
@@ -28,14 +28,14 @@ def test_spec_validation():
 
 
 def test_async_detection_time_is_deterministic():
-    assert sample_sensor_detection_time(ASYNC, trial_rng(0, 0)) == pytest.approx(0.017)
-    arr = sample_sensor_detection_time(ASYNC, trial_rng(0, 0), size=5)
+    assert sample_sensor_detection_time(ASYNC, chunk_rng(0, 0)) == pytest.approx(0.017)
+    arr = sample_sensor_detection_time(ASYNC, chunk_rng(0, 0), size=5)
     assert np.allclose(arr, 0.017)
 
 
 def test_sync_detection_time_support_and_mean():
     n = 1_000_000
-    draws = sample_sensor_detection_time(SYNC, trial_rng(3, 0), size=n)
+    draws = sample_sensor_detection_time(SYNC, chunk_rng(3, 0), size=n)
     assert draws.min() >= SYNC.tau_s + SYNC.t_s
     assert draws.max() < SYNC.tau_s + 2.0 * SYNC.t_s
     # mean tau_s + 1.5*t_s = 22 ms

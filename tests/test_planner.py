@@ -12,8 +12,8 @@ from twisim.core import (
     ShiftedExponential,
     TwoPoint,
     UniformRange,
+    chunk_rng,
     sample,
-    trial_rng,
 )
 from twisim.planner import (
     InfeasibleBudgetError,
@@ -85,7 +85,7 @@ def test_p_miss_exact_matches_simulation(model, w):
     # transmission starts uniformly inside the window: time to the edge is
     # uniform on (0, W]; miss iff T exceeds it
     n = 400_000
-    rng = trial_rng(21, 0)
+    rng = chunk_rng(21, 0)
     t = sample(model, rng, n)
     to_edge = (1.0 - rng.random(n)) * w
     miss = t > to_edge
