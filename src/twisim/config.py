@@ -7,11 +7,12 @@ offending field path; defaults are filled in so minimal configs stay small.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel
+from twisim.core import MODEL_KINDS, Empirical, ParameterError, TransmissionTimeModel
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import CausalChainScenario, FanOutScenario, LinkInput
 from twisim.twi import TwiSpec
@@ -60,6 +61,18 @@ def _as_numbers(value: Any, path: str) -> tuple[float, ...]:
 def _as_choice(value: Any, path: str, choices: tuple) -> Any:
     if value not in choices:
         _fail(path, f"expected one of {choices}, got {value!r}")
+    return value
+
+
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_optional_str(value: Any, path: str) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        _fail(path, f"expected a string, got {value!r}")
     return value
 
 
@@ -123,16 +136,16 @@ def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
                 tau_s=_as_number(obj.get("tau_s", 0.0), f"{path}.tau_s"),
                 mode=SensorMode(mode),
                 d_s=_as_int(obj.get("d_s", 1), f"{path}.d_s", 1),
-                sensor_id=obj.get("sensor_id"),
+                sensor_id=_as_optional_str(obj.get("sensor_id"), f"{path}.sensor_id"),
             )
     except ParameterError as exc:
         _fail(path, str(exc))
     _fail(f"{path}.type", f"unknown input type {kind!r}")
 
 
-def _input_to_dict(inp: Union[LinkInput, SensorSpec]) -> dict:
+def _input_to_dict(inp: Union[LinkInput, SensorSpec], model_to_dict: Callable[[Any], dict]) -> dict:
     if isinstance(inp, LinkInput):
-        return {"type": "link", "model": inp.model.to_dict(), "delay": inp.delay}
+        return {"type": "link", "model": model_to_dict(inp.model), "delay": inp.delay}
     out = {
         "type": "sensor",
         "t_s": inp.t_s,
@@ -166,6 +179,7 @@ _PARAM_READERS = {
     "model": model_from_dict,
     "arrivals": _as_numbers,
     "cause": lambda value, path: _as_choice(value, path, ("physical", "digital")),
+    "common_random_numbers": _as_bool,
 }
 
 
@@ -238,7 +252,9 @@ def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
         )
         try:
             if chain:
-                anchor = bool(sc.get("anchor_first_arrival", False))
+                anchor = _as_bool(
+                    sc.get("anchor_first_arrival", False), f"{path}.scenario.anchor_first_arrival"
+                )
                 scenario = CausalChainScenario(action_times, inputs, anchor)
             else:
                 scenario = FanOutScenario(inputs)
@@ -262,12 +278,16 @@ def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
         scenario=scenario,
         w_sweep=sweep,
         params=dict(params),
-        output=obj.get("output"),
+        output=_as_optional_str(obj.get("output"), f"{path}.output"),
         scenario_id=str(obj.get("scenario_id", "run")),
     )
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
+def config_to_dict(
+    cfg: ExperimentConfig, model_to_dict: Callable[[Any], dict] = lambda m: m.to_dict()
+) -> dict:
+    """The config as JSON-ready data; ``model_to_dict`` encodes the models
+    of scenario inputs (``params`` are kept as given)."""
     out: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
@@ -281,11 +301,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     if isinstance(cfg.scenario, CausalChainScenario):
         out["scenario"] = {
             "action_times": list(cfg.scenario.action_times),
-            "inputs": [_input_to_dict(inp) for inp in cfg.scenario.inputs],
+            "inputs": [_input_to_dict(inp, model_to_dict) for inp in cfg.scenario.inputs],
             "anchor_first_arrival": cfg.scenario.anchor_first_arrival,
         }
     elif isinstance(cfg.scenario, FanOutScenario):
-        out["scenario"] = {"inputs": [_input_to_dict(inp) for inp in cfg.scenario.inputs]}
+        out["scenario"] = {"inputs": [_input_to_dict(inp, model_to_dict) for inp in cfg.scenario.inputs]}
     if cfg.w_sweep:
         out["w_sweep"] = list(cfg.w_sweep)
     if cfg.params:
@@ -311,6 +331,16 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(obj, path)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Compact JSON with sorted keys; the manifest hashes these bytes."""
-    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+def _hashed_model(model: TransmissionTimeModel) -> dict:
+    if isinstance(model, Empirical):  # a trace enters by its bytes, not as text
+        digest = hashlib.sha256(model.array.astype("<f8", copy=False)).hexdigest()
+        return {"kind": model.kind, "values_sha256": digest}
+    return model.to_dict()
+
+
+def config_sha256(cfg: ExperimentConfig) -> str:
+    """SHA-256 of the config as compact JSON with sorted keys, in which each
+    ``Empirical`` scenario model is the SHA-256 of its little-endian float64
+    values; the manifest records it."""
+    text = json.dumps(config_to_dict(cfg, _hashed_model), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -242,8 +242,12 @@ class TwoPoint(_Model):
         u = rng.random(size=size)
         if size is None:
             return float(self.value_a if u < self.p_a else self.value_b)
-        # indexing by the 0/1 mask avoids a data-dependent branch per draw
-        return np.array((self.value_b, self.value_a), dtype=float)[(u < self.p_a).view(np.uint8)]
+        # select the value bits without a branch or a gather: mask*(a^b) ^ b
+        a, b = np.array((self.value_a, self.value_b), dtype=np.float64).view(np.uint64)
+        bits = (u < self.p_a).astype(np.uint64)
+        bits *= a ^ b
+        bits ^= b
+        return bits.view(np.float64)
 
     def expect(self, fn: Callable[[float], float]) -> float:
         return self.p_a * fn(self.value_a) + (1.0 - self.p_a) * fn(self.value_b)

@@ -10,7 +10,6 @@ deterministic in (config, seed) for any thread count.  Volatile metadata
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
 from twisim import __version__, analytics, bounds, planner
-from twisim.config import ConfigError, ExperimentConfig, read_params, serialize_config
+from twisim.config import ConfigError, ExperimentConfig, config_sha256, read_params
 from twisim.core import Constant, ShiftedExponential, TwoPoint
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import (
@@ -104,7 +103,7 @@ def _run_chain_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     s = cfg.scenario
     assert isinstance(s, CausalChainScenario)
     if cfg.w_sweep:
-        crn = bool(cfg.params.get("common_random_numbers", True))
+        crn = read_params(cfg.params, {"common_random_numbers": True})["common_random_numbers"]
         estimates = estimate_no_violation_sweep(
             s, cfg.w_sweep, cfg.trials, cfg.seed, common_random_numbers=crn, threads=cfg.threads
         )
@@ -397,7 +396,7 @@ def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
     manifest = {
-        "config_sha256": hashlib.sha256(serialize_config(cfg).encode()).hexdigest(),
+        "config_sha256": config_sha256(cfg),
         "seed": cfg.seed,
         "trials": cfg.trials,
         "threads": cfg.threads,

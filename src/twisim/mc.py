@@ -139,12 +139,6 @@ def _make_estimate(successes: int, trials: int, seed: RandomSeed) -> ViolationEs
     return ViolationEstimate(p, trials, se, ci, seed)
 
 
-def _sample_input(inp: ScenarioInput, rng: np.random.Generator, size: int):
-    if isinstance(inp, SensorSpec):
-        return sample_sensor_detection_time(inp, rng, size)
-    return sample(inp.model, rng, size) + inp.delay
-
-
 def _random_offset_twi(w: float) -> TwiSpec:
     """Window w with a random offset; W = 0 compares raw times."""
     return TwiSpec(w, offset=None if w > 0 else 0.0)
@@ -156,10 +150,14 @@ def _chain_arrivals(
     """(count, N) arrival times plus one offset fraction per trial; each
     input is sampled in order, then the fractions.  The matrix is
     input-major (Fortran order): each input's draws fill one contiguous
-    column, so row-wise stamping and reductions run as N vector operations."""
+    column, so row-wise stamping and reductions run as N vector operations.
+    A link's draws plus its delay are written straight into its column."""
     t = np.empty((count, s.n), order="F")
     for i, inp in enumerate(s.inputs):
-        t[:, i] = _sample_input(inp, rng, count)
+        if isinstance(inp, SensorSpec):
+            t[:, i] = sample_sensor_detection_time(inp, rng, count)
+        else:
+            np.add(sample(inp.model, rng, count), inp.delay, out=t[:, i])
     t += s.occurrence_offsets()
     u = rng.random(count)
     return t, u

@@ -92,6 +92,32 @@ def test_two_point_sample_matches_the_where_form(p_a):
         assert x == float(np.where(ref.random() < p_a, 2.0, 1.0))
 
 
+durations = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e300)),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    value_a=durations,
+    value_b=durations,
+    same=st.booleans(),
+    p_a=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)),
+    size=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_two_point_sample_is_the_where_form_bit_for_bit(value_a, value_b, same, p_a, size, seed):
+    if same:
+        value_b = value_a
+    rng, ref = chunk_rng(seed, 0), chunk_rng(seed, 0)
+    draws = TwoPoint(value_a, value_b, p_a).sample(rng, size)
+    expected = np.where(ref.random(size) < p_a, value_a, value_b)
+    assert draws.dtype == np.float64 and draws.shape == (size,)
+    assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
+    assert rng.random() == ref.random()  # one draw per value, as before
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_streams_replay_bit_identically(model):
     a = sample(model, chunk_rng(99, 3), 1000)

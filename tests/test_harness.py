@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,10 +16,10 @@ from twisim.cli import main
 from twisim.config import (
     ConfigError,
     config_from_dict,
+    config_sha256,
     config_to_dict,
     load_config,
     model_from_dict,
-    serialize_config,
 )
 from twisim.core import Empirical, ShiftedExponential, TwoPoint, UniformRange
 from twisim.harness import (
@@ -73,15 +74,64 @@ def test_config_round_trip():
     cfg = config_from_dict(CHAIN_CFG)
     assert cfg.scenario.n == 2
     assert cfg.twi.random_offset
-    again = config_from_dict(json.loads(serialize_config(cfg)))
+    again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
     assert again == cfg
 
 
-def test_serialized_config_is_compact_sorted_json():
-    text = serialize_config(config_from_dict(CHAIN_CFG))
+def _compact_sha256(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert "\n" not in text and ", " not in text and ": " not in text
-    obj = json.loads(text)
-    assert list(obj) == sorted(obj)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_serialized_config_is_compact_sorted_json():
+    # Without a scenario trace the hash is that of the config's compact,
+    # sorted-key JSON; a trace in params stays raw JSON.
+    expected_cv = {
+        "op": "expected_cv_two_input",
+        "t_s": 1.0,
+        "w": 0.5,
+        "model": {"kind": "empirical", "values": [0.1, 0.25]},
+    }
+    for obj in (CHAIN_CFG, {"kind": "analytic", "params": expected_cv}):
+        cfg = config_from_dict(obj)
+        assert config_sha256(cfg) == _compact_sha256(config_to_dict(cfg))
+
+
+def _trace_fanout(*traces):
+    links = [{"type": "link", "model": {"kind": "empirical", "values": v}} for v in traces]
+    return {"kind": "fanout_sim", "scenario": {"inputs": links}}
+
+
+def _trace_sha256(*traces) -> str:
+    return config_sha256(config_from_dict(_trace_fanout(*traces)))
+
+
+def test_config_sha256_hashes_a_trace_by_its_float64_bytes():
+    cfg = config_from_dict(_trace_fanout([0.5, 1.5]))
+    obj = config_to_dict(cfg)
+    digest = hashlib.sha256(np.array([0.5, 1.5], dtype="<f8").tobytes()).hexdigest()
+    obj["scenario"]["inputs"][0]["model"] = {"kind": "empirical", "values_sha256": digest}
+    assert config_sha256(cfg) == _compact_sha256(obj)
+    assert _trace_sha256([1, 2]) == _trace_sha256([1.0, 2.0])
+
+
+def test_config_sha256_tells_traces_apart():
+    base = _trace_sha256([0.1, 0.2, 0.3], [0.4])
+    assert _trace_sha256([0.1, float(np.nextafter(0.2, 1.0)), 0.3], [0.4]) != base  # one ulp
+    assert _trace_sha256([0.1, 0.3, 0.2], [0.4]) != base  # two values swapped
+    assert _trace_sha256([0.4], [0.1, 0.2, 0.3]) != base  # traces moved between links
+    assert _trace_sha256([0.1, 0.2, 0.3], [0.4]) == base
+
+
+def test_config_sha256_never_formats_a_scenario_trace(monkeypatch):
+    cfg = config_from_dict(_trace_fanout([0.1, 0.2], [0.3]))
+
+    def refuse(self):
+        raise AssertionError("a scenario trace was formatted as text")
+
+    monkeypatch.setattr(Empirical, "to_dict", refuse)
+    assert len(config_sha256(cfg)) == 64
 
 
 def test_config_errors_name_the_field():
@@ -315,6 +365,75 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", cfg, "--seed", "-1"]) == 2
     for name, bad in [("trials", "abc"), ("trials", 1.7), ("trials", True), ("threads", "x"), ("seed", -1)]:
         assert main(["simulate", write_cfg(tmp_path, {**CHAIN_CFG, name: bad})]) == 2
+
+
+def _sensor_chain(sensor_id):
+    sensor = {"type": "sensor", "t_s": 0.01, "sensor_id": sensor_id}
+    link = CHAIN_CFG["scenario"]["inputs"][0]
+    return {**CHAIN_CFG, "scenario": {**CHAIN_CFG["scenario"], "inputs": [sensor, link]}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path, message",
+    [
+        pytest.param(
+            "simulate",
+            {**CHAIN_CFG, "scenario": {**CHAIN_CFG["scenario"], "anchor_first_arrival": "false"}},
+            "config.json.scenario.anchor_first_arrival",
+            "expected true or false, got 'false'",
+            id="anchor-string",
+        ),
+        pytest.param(
+            "simulate",
+            {**CHAIN_CFG, "scenario": {**CHAIN_CFG["scenario"], "anchor_first_arrival": 0}},
+            "config.json.scenario.anchor_first_arrival",
+            "expected true or false, got 0",
+            id="anchor-zero",
+        ),
+        pytest.param(
+            "sweep",
+            {**CHAIN_CFG, "w_sweep": [0.0, 0.5], "params": {"common_random_numbers": "false"}},
+            "params.common_random_numbers",
+            "expected true or false, got 'false'",
+            id="crn-string",
+        ),
+        pytest.param(
+            "simulate",
+            {**CHAIN_CFG, "output": True},
+            "config.json.output",
+            "expected a string, got True",
+            id="output-true",
+        ),
+        pytest.param(
+            "simulate",
+            _sensor_chain(["x"]),
+            "config.json.scenario.inputs[0].sensor_id",
+            "expected a string, got ['x']",
+            id="sensor-id-list",
+        ),
+    ],
+)
+def test_booleans_and_strings_are_strict(tmp_path, capsys, command, cfg, path, message):
+    assert main([command, write_cfg(tmp_path, cfg, "config.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.endswith(f"{path}: {message}\n")
+    assert captured.out == ""
+
+
+def test_strict_booleans_keep_their_meaning(tmp_path):
+    csv = {}
+    for name, anchor, crn in [("a", False, True), ("b", True, True), ("c", False, False)]:
+        scenario = {**CHAIN_CFG["scenario"], "anchor_first_arrival": anchor}
+        params = {"common_random_numbers": crn}
+        cfg = {**CHAIN_CFG, "scenario": scenario, "w_sweep": [0.0, 0.5], "params": params}
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        csv[name] = out.read_bytes()
+    assert len(set(csv.values())) == 3
+    named = _sensor_chain("s1")
+    assert main(["simulate", write_cfg(tmp_path, {**named, "output": str(tmp_path / "named.csv")})]) == 0
+    assert (tmp_path / "named.csv").exists()
 
 
 @pytest.mark.parametrize("bad", [True, "x", None])

@@ -16,8 +16,9 @@ from twisim.core import (
     TwoPoint,
     UniformRange,
     chunk_rng,
+    sample,
 )
-from twisim.inputs import SensorMode, SensorSpec
+from twisim.inputs import SensorMode, SensorSpec, sample_sensor_detection_time
 from twisim.mc import (
     CausalChainScenario,
     FanOutScenario,
@@ -245,6 +246,46 @@ def test_chunk_arrivals_are_input_major():
     t, u = _chain_arrivals(s, chunk_rng(1, 0), 1000)
     assert t.shape == (1000, 3) and u.shape == (1000,)
     assert t.flags.f_contiguous
+
+
+TRACE = Empirical((0.2, 0.5, 1.1, 0.05))
+SYNC_SENSOR = SensorSpec(t_s=0.25, tau_s=0.1, sensor_id="s0")
+ASYNC_SENSOR = SensorSpec(t_s=0.6, mode=SensorMode.ASYNCHRONOUS, sensor_id="s1")
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        CausalChainScenario(
+            action_times=(0.5, 0.0, 0.1, 0.3, 0.2),
+            inputs=(
+                LinkInput(TwoPoint(0.1, 1.3, 0.3), 0.2),
+                SYNC_SENSOR,
+                LinkInput(TRACE, 0.7),
+                ASYNC_SENSOR,
+                LinkInput(ShiftedExponential(0.05, 2.0)),
+                LinkInput(UniformRange(0.1, 0.9), 0.05),
+            ),
+        ),
+        FanOutScenario(
+            (SYNC_SENSOR, ASYNC_SENSOR, LinkInput(TRACE, 0.3), LinkInput(TRACE), LinkInput(Constant(0.4), 0.1))
+        ),
+    ],
+    ids=["chain", "fanout"],
+)
+def test_chain_arrivals_are_the_stacked_input_draws(s):
+    count = 1000
+    t, u = _chain_arrivals(s, chunk_rng(3, 0), count)
+    rng = chunk_rng(3, 0)  # inputs in order, then the offset fractions
+    columns = [
+        sample_sensor_detection_time(inp, rng, count)
+        if isinstance(inp, SensorSpec)
+        else sample(inp.model, rng, count) + inp.delay
+        for inp in s.inputs
+    ]
+    expected = np.column_stack(columns) + s.occurrence_offsets()
+    assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(u, rng.random(count))
 
 
 SWEEP_MODELS = (
