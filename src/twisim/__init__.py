@@ -15,15 +15,7 @@ from twisim.core import (
     UniformRange,
     sample,
 )
-from twisim.twi import (
-    Relation,
-    TwiSpec,
-    detect_causality_violation,
-    detect_simultaneity_violation,
-    event_throughput_loss,
-    relate,
-    stamp,
-)
+from twisim.twi import TwiSpec, event_throughput_loss, stamp
 
 __all__ = [
     "Constant",
@@ -33,12 +25,8 @@ __all__ = [
     "TwoPoint",
     "UniformRange",
     "sample",
-    "Relation",
     "TwiSpec",
-    "detect_causality_violation",
-    "detect_simultaneity_violation",
     "event_throughput_loss",
-    "relate",
     "stamp",
 ]
 

@@ -25,7 +25,6 @@ from twisim.core import (
     TimePoint,
     TransmissionTimeModel,
     ensure_duration,
-    ensure_time,
 )
 
 
@@ -46,13 +45,12 @@ def twi_two_sensor_min_window(
     return max(t_s1, tau_s2 - tau_s1 + t_s2)
 
 
-def p_sim_violation_pair(t_s1: TimePoint, t_s2: TimePoint, w: Duration) -> float:
-    """Probability that a window edge separates two arrivals, uniform offset."""
-    t_s1 = ensure_time(t_s1, "t_s1")
-    t_s2 = ensure_time(t_s2, "t_s2")
-    if t_s1 > t_s2:
-        raise ParameterError("requires t_s1 <= t_s2")
-    return p_sim_violation_n([t_s1, t_s2], w)
+def _ramp(gap: float, w: float) -> float:
+    """Probability that a uniformly placed window edge lands inside a gap:
+    0 for gap <= 0, else min(1, gap / W), with W = 0 a step at 0."""
+    if gap <= 0.0:
+        return 0.0
+    return 1.0 if w == 0.0 else min(1.0, gap / w)
 
 
 def p_sim_violation_n(arrival_times: Sequence[TimePoint], w: Duration) -> float:
@@ -60,27 +58,16 @@ def p_sim_violation_n(arrival_times: Sequence[TimePoint], w: Duration) -> float:
     if len(arrival_times) == 0:
         raise ParameterError("arrival_times must be nonempty")
     w = ensure_duration(w, "w")
-    times = [ensure_time(t, "arrival") for t in arrival_times]
-    spread = max(times) - min(times)
-    if spread == 0.0:
-        return 0.0
-    if w == 0.0:
-        return 1.0
-    return min(1.0, spread / w)
+    times = [ensure_duration(t, "arrival") for t in arrival_times]
+    return _ramp(max(times) - min(times), w)
 
 
 def p_cv_physical_cause(t_s: TimePoint, t_d: TimePoint, w: Duration) -> float:
     """Pr of perceiving the digital copy before the sensing event, given the
     registration times and a uniform window offset."""
-    t_s = ensure_time(t_s, "t_s")
-    t_d = ensure_time(t_d, "t_d")
-    w = ensure_duration(w, "w")
-    gap = max(0.0, t_s - t_d)
-    if gap == 0.0:
-        return 0.0
-    if w == 0.0:
-        return 1.0
-    return min(1.0, gap / w)
+    t_s = ensure_duration(t_s, "t_s")
+    t_d = ensure_duration(t_d, "t_d")
+    return _ramp(t_s - t_d, ensure_duration(w, "w"))
 
 
 def p_cv_digital_cause(t_s: TimePoint, t_d: TimePoint, w: Duration) -> float:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from twisim.analytics import _ramp
 from twisim.core import (
     Duration,
     ParameterError,
@@ -74,13 +75,7 @@ def cv_given_times(t_1: Duration, t_2: Duration, tau: Duration, w: Duration) -> 
     t_1 = ensure_duration(t_1, "t_1")
     t_2 = ensure_duration(t_2, "t_2")
     tau = ensure_duration(tau, "tau")
-    w = ensure_duration(w, "w")
-    edge = tau + t_2
-    if t_1 <= edge:
-        return 0.0
-    if w == 0.0 or t_1 > edge + w:
-        return 1.0
-    return (t_1 - edge) / w
+    return _ramp(t_1 - (tau + t_2), ensure_duration(w, "w"))
 
 
 def cv_lower_bound(
@@ -119,9 +114,6 @@ def verify_ordering_lemma(
         raise ParameterError("need exactly three models")
     for m in models:
         validate_model(m)
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
 
     def work(c: int, count: int):
         rng = chunk_rng(seed, c)

@@ -76,6 +76,12 @@ def _as_optional_str(value: Any, path: str) -> Optional[str]:
     return value
 
 
+def _as_csv_field(value: Any, path: str) -> str:
+    if not isinstance(value, str) or any(c in value for c in ',"\r\n'):
+        _fail(path, f"expected a string without commas, quotes or line breaks, got {value!r}")
+    return value
+
+
 def _as_int(value: Any, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
@@ -135,7 +141,6 @@ def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
                 t_s=_as_number(_require(obj, "t_s", path), f"{path}.t_s"),
                 tau_s=_as_number(obj.get("tau_s", 0.0), f"{path}.tau_s"),
                 mode=SensorMode(mode),
-                d_s=_as_int(obj.get("d_s", 1), f"{path}.d_s", 1),
                 sensor_id=_as_optional_str(obj.get("sensor_id"), f"{path}.sensor_id"),
             )
     except ParameterError as exc:
@@ -151,7 +156,6 @@ def _input_to_dict(inp: Union[LinkInput, SensorSpec], model_to_dict: Callable[[A
         "t_s": inp.t_s,
         "tau_s": inp.tau_s,
         "mode": inp.mode.value,
-        "d_s": inp.d_s,
     }
     if inp.sensor_id is not None:
         out["sensor_id"] = inp.sensor_id
@@ -180,6 +184,7 @@ _PARAM_READERS = {
     "arrivals": _as_numbers,
     "cause": lambda value, path: _as_choice(value, path, ("physical", "digital")),
     "common_random_numbers": _as_bool,
+    "figure": lambda value, path: _as_choice(value, path, (7, 8)),
 }
 
 
@@ -279,7 +284,7 @@ def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
         w_sweep=sweep,
         params=dict(params),
         output=_as_optional_str(obj.get("output"), f"{path}.output"),
-        scenario_id=str(obj.get("scenario_id", "run")),
+        scenario_id=_as_csv_field(obj.get("scenario_id", "run"), f"{path}.scenario_id"),
     )
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 TimePoint = float
 Duration = float
@@ -30,10 +29,6 @@ def ensure_duration(value: float, name: str = "duration") -> float:
     if not math.isfinite(value) or value < 0.0:
         raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
     return value
-
-
-def ensure_time(value: float, name: str = "time") -> float:
-    return ensure_duration(value, name)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +125,8 @@ class UniformRange(_Model):
     def expect(self, fn: Callable[[float], float]) -> float:
         if self.high == self.low:
             return fn(self.low)
+        from scipy import integrate  # imported here: it costs more than the rest of the CLI
+
         val, _ = integrate.quad(fn, self.low, self.high, limit=200)
         return val / (self.high - self.low)
 
@@ -182,6 +179,8 @@ class ShiftedExponential(_Model):
         return _as_draws(self.shift + rng.exponential(1.0 / self.rate, size=size), size)
 
     def expect(self, fn: Callable[[float], float]) -> float:
+        from scipy import integrate  # imported here: it costs more than the rest of the CLI
+
         # integrate the excess over an effectively full tail
         rate = self.rate
         upper = self.shift + 50.0 / rate

@@ -170,8 +170,10 @@ def _run_bounds_check(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict
 
 NAME_VALUE_HEADER = ("scenario_id", "op", "name", "value")
 
-# The fields of analytics.TwoInputParams, the two-input receiver.
-_TWO_INPUT = {"t_s": MISSING, "tau_s": 0.0, "tau_a": 0.0, "t_min": 0.0, "t_max": math.inf, "w": 0.0}
+# The fields of analytics.TwoInputParams, the two-input receiver; the
+# expected violation probability does not read the link's support bounds.
+_RECEIVER = {"t_s": MISSING, "tau_s": 0.0, "tau_a": 0.0, "w": 0.0}
+_TWO_INPUT = {**_RECEIVER, "t_min": 0.0, "t_max": math.inf}
 _CV = {"t_s": MISSING, "t_d": MISSING, "w": MISSING}
 _CONDITIONS = ("never_violated", "certainly_violated", "w_min", "w_min_raw")
 
@@ -181,7 +183,8 @@ def _conditions(fn):
 
 
 def _expected_cv(model, cause, **p):
-    return analytics.expected_cv_two_input(analytics.TwoInputParams(**p), model, cause)
+    receiver = analytics.TwoInputParams(**p, t_min=0.0, t_max=math.inf)
+    return analytics.expected_cv_two_input(receiver, model, cause)
 
 
 def _latency_budget(**p):
@@ -228,7 +231,7 @@ ANALYTIC_OPS = {
         _conditions(analytics.causality_conditions_digital_cause),
     ),
     "expected_cv_two_input": (
-        {**_TWO_INPUT, "model": MISSING, "cause": "physical"},
+        {**_RECEIVER, "model": MISSING, "cause": "physical"},
         ("p_violation",),
         _expected_cv,
     ),
@@ -347,12 +350,9 @@ def reproduce_window_sweep(
 
 
 def _run_reproduce(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
-    figure = cfg.params.get("figure")
-    if figure == 7:
+    if read_params(cfg.params, {"figure": MISSING})["figure"] == 7:
         return FIG7_HEADER, reproduce_two_rate_curve(cfg.trials, cfg.seed, cfg.threads)
-    if figure == 8:
-        return FIG8_HEADER, reproduce_window_sweep(cfg.trials, cfg.seed, cfg.threads)
-    raise ConfigError(f"params.figure: expected 7 or 8, got {figure!r}")
+    return FIG8_HEADER, reproduce_window_sweep(cfg.trials, cfg.seed, cfg.threads)
 
 
 _RUNNERS = {

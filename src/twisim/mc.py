@@ -196,6 +196,9 @@ def _chunk_ranges(trials: int):
 
 
 def _map_chunks(fn, trials: int, threads: int):
+    """fn(c, count) for each chunk of ``trials``, as a list in chunk order."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     chunks = list(_chunk_ranges(trials))
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
@@ -214,9 +217,6 @@ def estimate_chain(
 ) -> ChainEstimate:
     """Joint no-violation probability and per-pair ordering probabilities,
     estimated on the same trials."""
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
 
     def work(c: int, count: int):
         t, u = _chain_arrivals(s, chunk_rng(seed, c), count)
@@ -254,9 +254,6 @@ def estimate_no_violation_sweep(
     only those at each width: a trial is violated iff one of them is.
     """
     twis = [_random_offset_twi(ensure_duration(w, "w")) for w in w_values]
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
 
     if not common_random_numbers:
         return [
@@ -288,9 +285,6 @@ def estimate_sim_violation(
 ) -> ViolationEstimate:
     """Probability that the N perceptions of one event get differing
     timestamps (raw-time inequality when W = 0)."""
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
 
     def work(c: int, count: int):
         stamps = _stamps(*_chain_arrivals(s, chunk_rng(seed, c), count), twi)
@@ -315,9 +309,6 @@ def estimate_cv_two_input(
         raise ParameterError(f"unknown cause direction: {cause!r}")
     if cause == "physical" and p.tau_a < 0.0:
         raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
-    trials = int(trials)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     twi = _random_offset_twi(p.w)
 
     def work(c: int, count: int):

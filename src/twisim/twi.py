@@ -1,4 +1,4 @@
-"""Temporal window of integration (TWI): timestamping and event relations.
+"""Temporal window of integration (TWI): timestamping.
 
 The timestamping function maps an arrival time t to the integer window index
 ceil((t - offset) / W).  Windows are left-open right-closed, so a boundary
@@ -10,14 +10,13 @@ the one place the Monte-Carlo estimators stamp.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from twisim.core import Duration, ParameterError, TimePoint, ensure_duration, ensure_time
+from twisim.core import Duration, ParameterError, TimePoint, ensure_duration
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,9 @@ class TwiSpec:
         return self.offset is None
 
 
-class Relation(enum.Enum):
-    HAPPENED_BEFORE = "happened_before"
-    SIMULTANEOUS_WITH = "simultaneous_with"
-    HAPPENED_AFTER = "happened_after"
-
-
 def stamp(t: TimePoint, w: Duration, offset: Duration = 0.0) -> int:
     """Integer timestamp of arrival time t for window width w > 0."""
-    t = ensure_time(t, "t")
+    t = ensure_duration(t, "t")
     w = ensure_duration(w, "w")
     offset = ensure_duration(offset, "offset")
     if w == 0.0:
@@ -82,61 +75,6 @@ def stamp_array(t: np.ndarray, w: Duration, offset: Union[Duration, np.ndarray] 
     s = np.subtract(t, offset, dtype=float)
     s /= w
     return np.ceil(s, out=s)
-
-
-def relate(t_i: TimePoint, t_j: TimePoint, twi: TwiSpec, offset: Optional[Duration] = None) -> Relation:
-    """Relation of two events at one receiver under the given TWI.
-
-    ``offset`` overrides the spec's fixed offset (e.g. a sampled value); it is
-    required when the spec uses a random offset.
-    """
-    if offset is None:
-        if twi.random_offset:
-            raise ParameterError("random-offset TwiSpec needs an explicitly resolved offset")
-        offset = twi.offset
-    if twi.window == 0.0:
-        a, b = ensure_time(t_i, "t_i"), ensure_time(t_j, "t_j")
-        if a == b:
-            return Relation.SIMULTANEOUS_WITH
-        return Relation.HAPPENED_BEFORE if a < b else Relation.HAPPENED_AFTER
-    s_i = stamp(t_i, twi.window, offset)
-    s_j = stamp(t_j, twi.window, offset)
-    if s_i == s_j:
-        return Relation.SIMULTANEOUS_WITH
-    return Relation.HAPPENED_BEFORE if s_i < s_j else Relation.HAPPENED_AFTER
-
-
-def detect_causality_violation(
-    arrival_cause: TimePoint,
-    arrival_effect: TimePoint,
-    twi: TwiSpec,
-    offset: Optional[Duration] = None,
-) -> bool:
-    """True iff the effect is perceived strictly before its cause.
-
-    Ground truth: the event behind ``arrival_cause`` caused the event behind
-    ``arrival_effect``.  Perceiving both in one window is not a violation.
-    """
-    return relate(arrival_effect, arrival_cause, twi, offset) is Relation.HAPPENED_BEFORE
-
-
-def detect_simultaneity_violation(
-    arrivals: Sequence[TimePoint],
-    twi: TwiSpec,
-    offset: Optional[Duration] = None,
-) -> bool:
-    """True iff arrivals that should be simultaneous get differing timestamps."""
-    if len(arrivals) == 0:
-        raise ParameterError("arrivals must be nonempty")
-    if twi.window == 0.0:
-        first = ensure_time(arrivals[0], "arrival")
-        return any(ensure_time(t, "arrival") != first for t in arrivals[1:])
-    if offset is None:
-        if twi.random_offset:
-            raise ParameterError("random-offset TwiSpec needs an explicitly resolved offset")
-        offset = twi.offset
-    stamps = [stamp(t, twi.window, offset) for t in arrivals]
-    return any(s != stamps[0] for s in stamps[1:])
 
 
 def event_throughput_loss(w: Duration, t_0: Duration) -> float:

@@ -13,7 +13,6 @@ from twisim.analytics import (
     p_cv_digital_cause,
     p_cv_physical_cause,
     p_sim_violation_n,
-    p_sim_violation_pair,
     twi_two_sensor_min_window,
 )
 from twisim.core import Constant, ParameterError, ShiftedExponential, UniformRange, chunk_rng
@@ -34,12 +33,10 @@ def test_two_sensor_min_window():
 
 
 def test_sim_violation_closed_form():
-    assert p_sim_violation_pair(1.0, 1.5, 1.0) == pytest.approx(0.5)
-    assert p_sim_violation_pair(1.0, 3.0, 1.0) == 1.0
-    assert p_sim_violation_pair(1.0, 1.0, 1.0) == 0.0
-    assert p_sim_violation_pair(1.0, 1.5, 0.0) == 1.0  # W=0: distinct raw times differ
-    with pytest.raises(ParameterError):
-        p_sim_violation_pair(2.0, 1.0, 1.0)
+    assert p_sim_violation_n([1.0, 1.5], 1.0) == pytest.approx(0.5)
+    assert p_sim_violation_n([3.0, 1.0], 1.0) == 1.0
+    assert p_sim_violation_n([1.0, 1.0], 1.0) == 0.0
+    assert p_sim_violation_n([1.0, 1.5], 0.0) == 1.0  # W=0: distinct raw times differ
 
 
 def test_sim_violation_n_uses_spread():

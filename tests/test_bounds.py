@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twisim.analytics import p_cv_physical_cause
 from twisim.bounds import (
     cv_given_times,
     cv_lower_bound,
@@ -98,6 +99,34 @@ def test_cv_given_times_monotonicity(t1, t2, tau, w):
     assert cv_given_times(t1 + 1.0, t2, tau, w) >= p  # later t1: worse
     assert cv_given_times(t1, t2 + 1.0, tau, w) <= p  # later t2: safer
     assert cv_given_times(t1, t2, tau, w + 1.0) <= p  # wider window: safer
+
+
+def _branch_cv_given_times(t_1, t_2, tau, w):
+    """cv_given_times in its former three-branch form."""
+    edge = tau + t_2
+    if t_1 <= edge:
+        return 0.0
+    if w == 0.0 or t_1 > edge + w:
+        return 1.0
+    return (t_1 - edge) / w
+
+
+@given(
+    t1=st.floats(min_value=0.0, max_value=100.0),
+    t2=st.floats(min_value=0.0, max_value=100.0),
+    tau=st.floats(min_value=0.0, max_value=10.0),
+    w=st.one_of(
+        st.floats(min_value=0.0, max_value=10.0),
+        st.integers(min_value=1, max_value=8).map(lambda k: k * 2.0**-53),  # a few ulps of 1
+    ),
+)
+# the branch form's middle branch gave 4/3 here: t1 <= fl(edge + w) although t1 - edge > w
+@example(t1=1.0 + 2.0**-51, t2=1.0, tau=0.0, w=1.5 * 2.0**-52)
+@settings(max_examples=300, deadline=None)
+def test_shared_ramp_is_the_branch_form_capped_at_one(t1, t2, tau, w):
+    ramp = cv_given_times(t1, t2, tau, w)
+    assert ramp == min(1.0, _branch_cv_given_times(t1, t2, tau, w))
+    assert p_cv_physical_cause(t1, tau + t2, w) == ramp
 
 
 def test_cv_lower_bound_hand_value():

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twisim
 from twisim.core import (
     Constant,
     Empirical,
@@ -185,3 +190,14 @@ def test_uniform_mean_is_midpoint(low, span):
 @settings(max_examples=25, deadline=None)
 def test_trial_rng_deterministic(seed, idx):
     assert chunk_rng(seed, idx).random(8).tolist() == chunk_rng(seed, idx).random(8).tolist()
+
+
+def test_the_cli_imports_without_scipy_integrate():
+    # SciPy's quadrature is imported by the first continuous-model expect()
+    src = str(Path(twisim.__file__).resolve().parents[1])
+    code = "import sys, twisim.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "False\n"
+    assert UniformRange(0.0, 1.0).expect(lambda t: t) == pytest.approx(0.5)
+    assert ShiftedExponential(0.5, 2.0).expect(lambda t: t) == pytest.approx(1.0)

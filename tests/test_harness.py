@@ -153,9 +153,6 @@ def test_config_errors_name_the_field():
     for scenario in (5, "inputs", []):
         with pytest.raises(ConfigError, match="config.scenario: expected an object"):
             config_from_dict({"kind": "fanout_sim", "scenario": scenario})
-    sensor = {"type": "sensor", "t_s": 0.01, "d_s": "8"}
-    with pytest.raises(ConfigError, match=r"inputs\[0\]\.d_s"):
-        config_from_dict({"kind": "fanout_sim", "scenario": {"inputs": [sensor]}})
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -411,6 +408,28 @@ def _sensor_chain(sensor_id):
             "expected a string, got ['x']",
             id="sensor-id-list",
         ),
+        *(
+            pytest.param(
+                "simulate",
+                {**CHAIN_CFG, "scenario_id": bad},
+                "config.json.scenario_id",
+                f"expected a string without commas, quotes or line breaks, got {bad!r}",
+                id=f"scenario-id-{name}",
+            )
+            for name, bad in [
+                ("list", ["x", 1]), ("comma", "a,b"), ("quote", 'a"b'), ("cr", "a\rb"), ("lf", "a\nb"),
+            ]
+        ),
+        *(
+            pytest.param(
+                "reproduce",
+                {"kind": "reproduce", "trials": 100, "params": {"figure": bad}},
+                "params.figure",
+                f"expected one of (7, 8), got {bad!r}",
+                id=f"figure-{name}",
+            )
+            for name, bad in [("true", True), ("string", "7"), ("nine", 9)]
+        ),
     ],
 )
 def test_booleans_and_strings_are_strict(tmp_path, capsys, command, cfg, path, message):
@@ -434,6 +453,16 @@ def test_strict_booleans_keep_their_meaning(tmp_path):
     named = _sensor_chain("s1")
     assert main(["simulate", write_cfg(tmp_path, {**named, "output": str(tmp_path / "named.csv")})]) == 0
     assert (tmp_path / "named.csv").exists()
+
+
+def test_an_ordinary_scenario_id_writes_one_field(tmp_path):
+    params = {"op": "event_throughput_loss", "w": 1.0, "t_0": 2.0}
+    cfg = {"kind": "analytic", "scenario_id": "fig 8/run-2_a", "params": params}
+    out = tmp_path / "loss.csv"
+    assert main(["analytic", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert row.split(",") == ["fig 8/run-2_a", "event_throughput_loss", "loss", "0.5"]
+    assert len(header.split(",")) == 4
 
 
 @pytest.mark.parametrize("bad", [True, "x", None])

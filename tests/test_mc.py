@@ -79,6 +79,9 @@ def test_chain_trial_deterministic_outcome():
     est = estimate_chain(s, TwiSpec(5.0), 100, seed=0)
     assert est.no_violation.p_hat == 1.0
     assert pairwise_p(est) == (1.0, 1.0)
+    # a tie at W = 0 is in order: arrivals 1.0 and 1.0
+    est = estimate_chain(fixed_chain([1.0, 0.0], [1.0]), TwiSpec(0.0), 100, seed=0)
+    assert est.no_violation.p_hat == 1.0
 
 
 def test_estimate_chain_deterministic_scenario():

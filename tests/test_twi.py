@@ -6,16 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twisim.core import ParameterError
-from twisim.twi import (
-    Relation,
-    TwiSpec,
-    detect_causality_violation,
-    detect_simultaneity_violation,
-    event_throughput_loss,
-    relate,
-    stamp,
-    stamp_array,
-)
+from twisim.twi import TwiSpec, event_throughput_loss, stamp, stamp_array
 
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 widths = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
@@ -58,49 +49,6 @@ def test_twispec_validation():
         TwiSpec(1.0, offset=1.0)
 
 
-def test_relate_window_mode():
-    twi = TwiSpec(0.010)
-    assert relate(0.004, 0.006, twi) is Relation.SIMULTANEOUS_WITH
-    assert relate(0.004, 0.016, twi) is Relation.HAPPENED_BEFORE
-    assert relate(0.016, 0.004, twi) is Relation.HAPPENED_AFTER
-
-
-def test_relate_raw_mode():
-    twi = TwiSpec(0.0)
-    assert relate(1.0, 1.0, twi) is Relation.SIMULTANEOUS_WITH
-    assert relate(1.0, 1.0000001, twi) is Relation.HAPPENED_BEFORE
-
-
-def test_relate_random_offset_needs_resolved_value():
-    twi = TwiSpec(1.0, offset=None)
-    with pytest.raises(ParameterError):
-        relate(0.1, 0.2, twi)
-    assert relate(0.1, 0.2, twi, offset=0.0) is Relation.SIMULTANEOUS_WITH
-
-
-def test_causality_violation_requires_effect_strictly_earlier():
-    twi = TwiSpec(0.010)
-    # same window: simultaneity, not a violation
-    assert not detect_causality_violation(0.004, 0.006, twi)
-    assert not detect_causality_violation(0.006, 0.004, twi)
-    # effect stamped one window before its cause
-    assert detect_causality_violation(0.014, 0.006, twi)
-    # effect later: in order
-    assert not detect_causality_violation(0.004, 0.016, twi)
-
-
-def test_simultaneity_violation():
-    twi = TwiSpec(0.010)
-    assert not detect_simultaneity_violation([0.001, 0.004, 0.009], twi)
-    assert detect_simultaneity_violation([0.001, 0.004, 0.011], twi)
-    assert not detect_simultaneity_violation([0.5], twi)
-    raw = TwiSpec(0.0)
-    assert detect_simultaneity_violation([1.0, 1.0, 1.0000001], raw)
-    assert not detect_simultaneity_violation([1.0, 1.0], raw)
-    with pytest.raises(ParameterError):
-        detect_simultaneity_violation([], twi)
-
-
 def test_event_throughput_loss():
     assert event_throughput_loss(0.020, 0.010) == 2.0
     assert event_throughput_loss(0.0, 0.010) == 0.0
@@ -141,20 +89,6 @@ def test_stamp_array_broadcasts_a_per_row_offset():
 @settings(max_examples=200, deadline=None)
 def test_stamp_shift_by_whole_windows(t, w, k):
     assert stamp(t + k * w, w) == pytest.approx(stamp(t, w) + k, abs=1)
-
-
-@given(t1=times, t2=times, w=st.one_of(st.just(0.0), widths))
-@settings(max_examples=200, deadline=None)
-def test_relation_trichotomy_and_antisymmetry(t1, t2, w):
-    twi = TwiSpec(w)
-    fwd = relate(t1, t2, twi)
-    rev = relate(t2, t1, twi)
-    if fwd is Relation.SIMULTANEOUS_WITH:
-        assert rev is Relation.SIMULTANEOUS_WITH
-    elif fwd is Relation.HAPPENED_BEFORE:
-        assert rev is Relation.HAPPENED_AFTER
-    else:
-        assert rev is Relation.HAPPENED_BEFORE
 
 
 def test_offset_sweep_fraction_matches_spread_over_window():
