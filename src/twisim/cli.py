@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import sys
 from typing import Optional, Sequence
 
-from twisim.config import ConfigError, ExperimentConfig, config_from_dict, load_config
+from twisim.config import ConfigError, ExperimentConfig, config_from_json, load_config
 from twisim.core import ParameterError
 from twisim.harness import execute
 
@@ -40,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, kinds in _SUBCOMMAND_KINDS.items():
         p = sub.add_parser(name, help=f"run a config of kind {' or '.join(kinds)}")
         if name == "reproduce":
-            p.add_argument("config", nargs="?", help="JSON config file (optional)")
-            p.add_argument("--figure", type=int, choices=(7, 8), help="reference curve to rebuild")
+            p.add_argument("config", nargs="?", help="JSON config file, or none with --figure")
+            p.add_argument("--figure", type=int, choices=(7, 8), help="reference curve to rebuild, without a config file")
         else:
             p.add_argument("config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -52,14 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    if args.command == "reproduce" and args.config is None:
-        if args.figure is None:
-            raise ConfigError("reproduce needs a config file or --figure")
-        cfg = config_from_dict({"kind": "reproduce", "params": {"figure": args.figure}})
+    if args.command == "reproduce" and args.figure is not None:
+        if args.config is not None:
+            raise ConfigError("reproduce takes a config file or --figure, not both")
+        doc = {"kind": "reproduce", "params": {"figure": args.figure}}
+        cfg = config_from_json(json.dumps(doc, separators=(",", ":")).encode())
+    elif args.config is None:
+        raise ConfigError("reproduce needs a config file or --figure")
     else:
         cfg = load_config(args.config)
-        if args.command == "reproduce" and args.figure is not None:
-            cfg = dataclasses.replace(cfg, params={**cfg.params, "figure": args.figure})
     kinds = _SUBCOMMAND_KINDS[args.command]
     if cfg.kind not in kinds:
         raise ConfigError(

@@ -1,27 +1,25 @@
-"""Experiment configuration: versioned JSON schema, validation, round-trip.
+"""Experiment configuration: versioned JSON schema and its strict reader.
 
 A config names an experiment kind, a scenario (for the simulation kinds), a
-window spec, trial/seed settings and an output path.  Validation reports the
-offending field path; defaults are filled in so minimal configs stay small.
+window spec, trial/seed settings and an output path.  Every JSON object in
+it, ``params`` included, is read by one reader from a field spec: a missing
+required field, a value of the wrong type and any unknown key are errors
+that name the offending field path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, Optional, Union
 
-from twisim.core import MODEL_KINDS, Empirical, ParameterError, TransmissionTimeModel
+from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import CausalChainScenario, FanOutScenario, LinkInput
 from twisim.twi import TwiSpec
 
 SCHEMA_VERSION = 1
-KINDS = ("analytic", "chain_sim", "fanout_sim", "bounds_check", "plan", "reproduce")
-
-DEFAULT_TRIALS = 100_000
-DEFAULT_SEED = 1
 
 
 class ConfigError(ValueError):
@@ -32,10 +30,53 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        _fail(f"{path}.{key}", "missing required field")
-    return obj[key]
+# A field spec maps each field name to (reader, default).  reader(value, path)
+# checks a present JSON value and returns what the field holds; the default
+# is what an absent field holds, MISSING if the field is required.
+Reader = Callable[[Any, str], Any]
+Spec = dict[str, tuple[Reader, Any]]
+
+
+def _read_object(obj: Any, path: str, spec: Spec) -> dict[str, Any]:
+    """The fields of the JSON object ``obj`` at ``path``, read by ``spec``."""
+    if not isinstance(obj, dict):
+        _fail(path, f"expected an object, got {obj!r}")
+    for key in obj:
+        if key not in spec:
+            _fail(f"{path}.{key}", "unknown field")
+    out = {}
+    for name, (read, default) in spec.items():
+        if name in obj:
+            out[name] = read(obj[name], f"{path}.{name}")
+        elif default is MISSING:
+            _fail(f"{path}.{name}", "missing required field")
+        else:
+            out[name] = default
+    return out
+
+
+def _read_tagged(obj: Any, path: str, tag: str, specs: dict[str, Spec]) -> tuple[str, dict[str, Any]]:
+    """The required ``tag`` field of the JSON object ``obj``, which picks
+    its spec from ``specs``, and the object's other fields read by it."""
+    if not isinstance(obj, dict):
+        _fail(path, f"expected an object, got {obj!r}")
+    if tag not in obj:
+        _fail(f"{path}.{tag}", "missing required field")
+    name = _as_choice(obj[tag], f"{path}.{tag}", tuple(specs))
+    return name, _read_object({k: v for k, v in obj.items() if k != tag}, path, specs[name])
+
+
+def _build(cls: Callable, args: dict[str, Any], path: str) -> Any:
+    """``cls(**args)``; a violated invariant is a config error at ``path``."""
+    try:
+        return cls(**args)
+    except ParameterError as exc:
+        _fail(path, str(exc))
+
+
+def _as_object(cls: Callable, spec: Spec) -> Reader:
+    """A reader of a JSON object that builds ``cls`` from its fields."""
+    return lambda value, path: _build(cls, _read_object(value, path, spec), path)
 
 
 def _as_number(value: Any, path: str) -> float:
@@ -90,96 +131,63 @@ def _as_int(value: Any, path: str, minimum: int) -> int:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Transmission-time models
-# ---------------------------------------------------------------------------
-
 # Model fields a config may omit beyond those with a default in the class.
 _MODEL_FIELD_DEFAULTS = {"shift": 0.0}
 
+_MODEL_SPECS = {
+    kind: {
+        f.name: (_as_numbers if f.name == "values" else _as_number, _MODEL_FIELD_DEFAULTS.get(f.name, f.default))
+        for f in fields(cls)
+    }
+    for kind, cls in MODEL_KINDS.items()
+}
+
 
 def model_from_dict(obj: Any, path: str = "model") -> TransmissionTimeModel:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
-    kind = _require(obj, "kind", path)
-    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        _fail(f"{path}.kind", f"unknown model kind {kind!r}")
-    args = []
-    for f in fields(cls):
-        default = _MODEL_FIELD_DEFAULTS.get(f.name, f.default)
-        value = _require(obj, f.name, path) if default is MISSING else obj.get(f.name, default)
-        read = _as_numbers if f.name == "values" else _as_number
-        args.append(read(value, f"{path}.{f.name}"))
-    try:
-        return cls(*args)
-    except ParameterError as exc:
-        _fail(path, str(exc))
-
-
-# ---------------------------------------------------------------------------
-# Scenario inputs
-# ---------------------------------------------------------------------------
+    kind, args = _read_tagged(obj, path, "kind", _MODEL_SPECS)
+    return _build(MODEL_KINDS[kind], args, path)
 
 
 _SENSOR_MODES = tuple(m.value for m in SensorMode)
 
+_INPUT_SPECS = {
+    "link": {"model": (model_from_dict, MISSING), "delay": (_as_number, 0.0)},
+    "sensor": {
+        "t_s": (_as_number, MISSING),
+        "tau_s": (_as_number, 0.0),
+        "mode": (lambda value, path: SensorMode(_as_choice(value, path, _SENSOR_MODES)), SensorMode.SYNCHRONOUS),
+        "sensor_id": (_as_optional_str, None),
+    },
+}
+_INPUT_TYPES = {"link": LinkInput, "sensor": SensorSpec}
+
 
 def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
-    kind = _require(obj, "type", path)
-    try:
-        if kind == "link":
-            return LinkInput(
-                model_from_dict(_require(obj, "model", path), f"{path}.model"),
-                _as_number(obj.get("delay", 0.0), f"{path}.delay"),
-            )
-        if kind == "sensor":
-            mode = _as_choice(obj.get("mode", "synchronous"), f"{path}.mode", _SENSOR_MODES)
-            return SensorSpec(
-                t_s=_as_number(_require(obj, "t_s", path), f"{path}.t_s"),
-                tau_s=_as_number(obj.get("tau_s", 0.0), f"{path}.tau_s"),
-                mode=SensorMode(mode),
-                sensor_id=_as_optional_str(obj.get("sensor_id"), f"{path}.sensor_id"),
-            )
-    except ParameterError as exc:
-        _fail(path, str(exc))
-    _fail(f"{path}.type", f"unknown input type {kind!r}")
+    kind, args = _read_tagged(obj, path, "type", _INPUT_SPECS)
+    return _build(_INPUT_TYPES[kind], args, path)
 
 
-def _input_to_dict(inp: Union[LinkInput, SensorSpec], model_to_dict: Callable[[Any], dict]) -> dict:
-    if isinstance(inp, LinkInput):
-        return {"type": "link", "model": model_to_dict(inp.model), "delay": inp.delay}
-    out = {
-        "type": "sensor",
-        "t_s": inp.t_s,
-        "tau_s": inp.tau_s,
-        "mode": inp.mode.value,
-    }
-    if inp.sensor_id is not None:
-        out["sensor_id"] = inp.sensor_id
-    return out
+def _as_inputs(value: Any, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a nonempty list of inputs")
+    return tuple(_input_from_dict(inp, f"{path}[{i}]") for i, inp in enumerate(value))
 
 
-def _twi_from_dict(obj: Any, path: str) -> TwiSpec:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
-    window = _as_number(obj.get("window", 0.0), f"{path}.window")
-    offset = obj.get("offset", 0.0)
-    offset = None if offset == "random" else _as_number(offset, f"{path}.offset")
-    try:
-        return TwiSpec(window, offset=offset)
-    except ParameterError as exc:
-        _fail(path, str(exc))
+_CHAIN_SPEC = {
+    "action_times": (_as_numbers, MISSING),
+    "inputs": (_as_inputs, MISSING),
+    "anchor_first_arrival": (_as_bool, False),
+}
+_FANOUT_SPEC = {"inputs": (_as_inputs, MISSING)}
+_TWI_SPEC = {
+    "window": (_as_number, 0.0),
+    "offset": (lambda value, path: None if value == "random" else _as_number(value, path), 0.0),
+}
 
 
-def _twi_to_dict(twi: TwiSpec) -> dict:
-    return {"window": twi.window, "offset": "random" if twi.random_offset else twi.offset}
-
-
-# params fields of analytic ops and plan sections that are not plain numbers
+# params fields of the runners that are not plain numbers
 _PARAM_READERS = {
+    "op": lambda value, path: value,  # the analytic runner has matched it to an op
     "model": model_from_dict,
     "arrivals": _as_numbers,
     "cause": lambda value, path: _as_choice(value, path, ("physical", "digital")),
@@ -189,163 +197,99 @@ _PARAM_READERS = {
 
 
 def read_params(params: dict, spec: dict[str, Any]) -> dict[str, Any]:
-    """Checked values of the ``params`` fields in ``spec``, which maps each
-    name to its default: ``MISSING`` if required, ``None`` if it has none."""
-    out = {}
-    for name, default in spec.items():
-        if name in params:
-            out[name] = _PARAM_READERS.get(name, _as_number)(params[name], f"params.{name}")
-        elif default is MISSING:
-            _fail(f"params.{name}", "missing required field")
-        else:
-            out[name] = default
-    return out
+    """The ``params`` fields in ``spec``, which maps each name to its default
+    (``MISSING`` if required, ``None`` if it has none); any other key in
+    ``params`` is an error."""
+    return _read_object(
+        params, "params", {name: (_PARAM_READERS.get(name, _as_number), d) for name, d in spec.items()}
+    )
 
-
-# ---------------------------------------------------------------------------
-# Experiment config
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config.  ``sha256`` is the SHA-256 of the JSON bytes it
+    was read from, ``None`` for one built by ``config_from_dict``."""
+
     kind: str
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
-    threads: int = 1
-    twi: Optional[TwiSpec] = None
+    seed: int
+    trials: int
+    threads: int
+    twi: TwiSpec
+    w_sweep: tuple[float, ...]
+    params: dict
+    output: Optional[str]
+    scenario_id: str
     scenario: Optional[Union[CausalChainScenario, FanOutScenario]] = None
-    w_sweep: tuple[float, ...] = ()
-    params: dict = field(default_factory=dict)
-    output: Optional[str] = None
-    scenario_id: str = "run"
+    sha256: Optional[str] = None
+
+
+def _as_schema_version(value: Any, path: str) -> int:
+    if type(value) is not int or value != SCHEMA_VERSION:  # not true, not 1.0
+        _fail(path, f"unsupported version {value!r}")
+    return value
+
+
+def _as_sweep(value: Any, path: str) -> tuple[float, ...]:
+    sweep = _as_numbers(value, path)
+    if any(b <= a for a, b in zip(sweep, sweep[1:])):
+        _fail(path, "values must be strictly increasing")
+    return sweep
+
+
+def _as_params(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object, got {value!r}")
+    return value
+
+
+_COMMON_SPEC = {
+    "schema_version": (_as_schema_version, SCHEMA_VERSION),
+    "seed": (lambda value, path: _as_int(value, path, 0), 1),
+    "trials": (lambda value, path: _as_int(value, path, 1), 100_000),
+    "threads": (lambda value, path: _as_int(value, path, 1), 1),
+    "twi": (_as_object(TwiSpec, _TWI_SPEC), TwiSpec(0.0)),
+    "w_sweep": (_as_sweep, ()),
+    "params": (_as_params, {}),  # read by the kind's runner, never written to
+    "output": (_as_optional_str, None),
+    "scenario_id": (_as_csv_field, "run"),
+}
+_CHAIN_CONFIG_SPEC = {**_COMMON_SPEC, "scenario": (_as_object(CausalChainScenario, _CHAIN_SPEC), MISSING)}
+_CONFIG_SPECS = {
+    "analytic": _COMMON_SPEC,
+    "chain_sim": _CHAIN_CONFIG_SPEC,
+    "fanout_sim": {**_COMMON_SPEC, "scenario": (_as_object(FanOutScenario, _FANOUT_SPEC), MISSING)},
+    "bounds_check": _CHAIN_CONFIG_SPEC,
+    "plan": _COMMON_SPEC,
+    "reproduce": _COMMON_SPEC,
+}
 
 
 def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        _fail(f"{path}.schema_version", f"unsupported version {version!r}")
-    kind = _as_choice(_require(obj, "kind", path), f"{path}.kind", KINDS)
-
-    trials = _as_int(obj.get("trials", DEFAULT_TRIALS), f"{path}.trials", 1)
-    threads = _as_int(obj.get("threads", 1), f"{path}.threads", 1)
-    seed = _as_int(obj.get("seed", DEFAULT_SEED), f"{path}.seed", 0)
-
-    twi = _twi_from_dict(obj["twi"], f"{path}.twi") if "twi" in obj else None
-    if twi is None and kind in ("chain_sim", "fanout_sim", "bounds_check"):
-        twi = TwiSpec(0.0, 0.0)
-
-    scenario = None
-    if kind in ("chain_sim", "bounds_check", "fanout_sim"):
-        chain = kind != "fanout_sim"
-        sc = _require(obj, "scenario", path)
-        if not isinstance(sc, dict):
-            _fail(f"{path}.scenario", "expected an object")
-        inputs = _require(sc, "inputs", f"{path}.scenario")
-        if not isinstance(inputs, list) or len(inputs) < 1 + chain:
-            _fail(
-                f"{path}.scenario.inputs",
-                "expected a list of at least two inputs" if chain else "expected a nonempty list of inputs",
-            )
-        if chain:
-            action_times = _require(sc, "action_times", f"{path}.scenario")
-            action_times = _as_numbers(action_times, f"{path}.scenario.action_times")
-        inputs = tuple(
-            _input_from_dict(inp, f"{path}.scenario.inputs[{i}]") for i, inp in enumerate(inputs)
-        )
-        try:
-            if chain:
-                anchor = _as_bool(
-                    sc.get("anchor_first_arrival", False), f"{path}.scenario.anchor_first_arrival"
-                )
-                scenario = CausalChainScenario(action_times, inputs, anchor)
-            else:
-                scenario = FanOutScenario(inputs)
-        except ParameterError as exc:
-            _fail(f"{path}.scenario", str(exc))
-
-    sweep = _as_numbers(obj.get("w_sweep", []), f"{path}.w_sweep")
-    if sweep and any(b <= a for a, b in zip(sweep, sweep[1:])):
-        _fail(f"{path}.w_sweep", "values must be strictly increasing")
-
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        _fail(f"{path}.params", "expected an object")
-
-    return ExperimentConfig(
-        kind=kind,
-        seed=seed,
-        trials=trials,
-        threads=threads,
-        twi=twi,
-        scenario=scenario,
-        w_sweep=sweep,
-        params=dict(params),
-        output=_as_optional_str(obj.get("output"), f"{path}.output"),
-        scenario_id=_as_csv_field(obj.get("scenario_id", "run"), f"{path}.scenario_id"),
-    )
+    kind, args = _read_tagged(obj, path, "kind", _CONFIG_SPECS)
+    del args["schema_version"]  # checked; there is only one
+    return ExperimentConfig(kind=kind, **args)
 
 
-def config_to_dict(
-    cfg: ExperimentConfig, model_to_dict: Callable[[Any], dict] = lambda m: m.to_dict()
-) -> dict:
-    """The config as JSON-ready data; ``model_to_dict`` encodes the models
-    of scenario inputs (``params`` are kept as given)."""
-    out: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "threads": cfg.threads,
-        "scenario_id": cfg.scenario_id,
-    }
-    if cfg.twi is not None:
-        out["twi"] = _twi_to_dict(cfg.twi)
-    if isinstance(cfg.scenario, CausalChainScenario):
-        out["scenario"] = {
-            "action_times": list(cfg.scenario.action_times),
-            "inputs": [_input_to_dict(inp, model_to_dict) for inp in cfg.scenario.inputs],
-            "anchor_first_arrival": cfg.scenario.anchor_first_arrival,
-        }
-    elif isinstance(cfg.scenario, FanOutScenario):
-        out["scenario"] = {"inputs": [_input_to_dict(inp, model_to_dict) for inp in cfg.scenario.inputs]}
-    if cfg.w_sweep:
-        out["w_sweep"] = list(cfg.w_sweep)
-    if cfg.params:
-        out["params"] = cfg.params
-    if cfg.output is not None:
-        out["output"] = cfg.output
-    return out
+def config_from_json(data: bytes, path: str = "config") -> ExperimentConfig:
+    """Parse and validate a config from its UTF-8 JSON bytes; ``path`` names
+    it in errors.  The config's ``sha256`` is the SHA-256 of ``data``."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    return replace(config_from_dict(obj, path), sha256=hashlib.sha256(data).hexdigest())
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(obj, path)
-
-
-def _hashed_model(model: TransmissionTimeModel) -> dict:
-    if isinstance(model, Empirical):  # a trace enters by its bytes, not as text
-        digest = hashlib.sha256(model.array.astype("<f8", copy=False)).hexdigest()
-        return {"kind": model.kind, "values_sha256": digest}
-    return model.to_dict()
-
-
-def config_sha256(cfg: ExperimentConfig) -> str:
-    """SHA-256 of the config as compact JSON with sorted keys, in which each
-    ``Empirical`` scenario model is the SHA-256 of its little-endian float64
-    values; the manifest records it."""
-    text = json.dumps(config_to_dict(cfg, _hashed_model), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return config_from_json(data, path)

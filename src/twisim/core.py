@@ -10,7 +10,7 @@ tail, Laplace transform, expectations and sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
@@ -79,9 +79,6 @@ class _Model:
     def clamped_ratio(self, w: float) -> float:
         """E[min(T / w, 1)] for w > 0."""
         return self.expect(lambda t: min(t / w, 1.0))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
@@ -294,9 +291,6 @@ class Empirical(_Model):
 
     def laplace(self, lam: float) -> float:
         return float(np.mean(np.exp(-lam * self.array)))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "values": list(self.values)}
 
 
 TransmissionTimeModel = Union[Constant, UniformRange, ShiftedExponential, TwoPoint, Empirical]

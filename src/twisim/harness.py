@@ -20,7 +20,7 @@ from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
 from twisim import __version__, analytics, bounds, planner
-from twisim.config import ConfigError, ExperimentConfig, config_sha256, read_params
+from twisim.config import ConfigError, ExperimentConfig, read_params
 from twisim.core import Constant, ShiftedExponential, TwoPoint
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import (
@@ -102,8 +102,8 @@ SIM_HEADER = (
 def _run_chain_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     s = cfg.scenario
     assert isinstance(s, CausalChainScenario)
+    crn = read_params(cfg.params, {"common_random_numbers": True})["common_random_numbers"]
     if cfg.w_sweep:
-        crn = read_params(cfg.params, {"common_random_numbers": True})["common_random_numbers"]
         estimates = estimate_no_violation_sweep(
             s, cfg.w_sweep, cfg.trials, cfg.seed, common_random_numbers=crn, threads=cfg.threads
         )
@@ -125,6 +125,7 @@ def _deterministic_arrival(inp) -> Optional[float]:
 def _run_fanout_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     s = cfg.scenario
     assert isinstance(s, FanOutScenario)
+    read_params(cfg.params, {})
     e = estimate_sim_violation(s, cfg.twi, cfg.trials, cfg.seed, cfg.threads)
     arrivals = [_deterministic_arrival(inp) for inp in s.inputs]
     analytic = None
@@ -150,6 +151,7 @@ BOUNDS_HEADER = (
 def _run_bounds_check(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     s = cfg.scenario
     assert isinstance(s, CausalChainScenario)
+    read_params(cfg.params, {})
     est = estimate_chain(s, cfg.twi, cfg.trials, cfg.seed, cfg.threads)
     pairwise = [e.p_hat for e in est.pairwise]
     w = cfg.twi.window
@@ -254,10 +256,17 @@ PLAN_SECTIONS = {
 }
 
 
-def _name_value_rows(cfg: ExperimentConfig, op: str, entries) -> list[dict]:
+def _name_value_rows(cfg: ExperimentConfig, op: str, entries, spec: dict) -> list[dict]:
+    """Rows of the entries, which read ``params`` as one spec: ``spec`` plus
+    every entry's fields, where a field any entry requires is required."""
+    for fields, _, _ in entries:
+        for name, default in fields.items():
+            if spec.get(name) is not MISSING:
+                spec[name] = default
+    params = read_params(cfg.params, spec)
     rows = []
     for fields, names, fn in entries:
-        values = fn(**read_params(cfg.params, fields))
+        values = fn(**{name: params[name] for name in fields})
         for name, value in zip(names, values if len(names) > 1 else (values,)):
             if value is not None:
                 rows.append({"scenario_id": cfg.scenario_id, "op": op, "name": name, "value": value})
@@ -269,12 +278,12 @@ def _run_analytic(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     entry = ANALYTIC_OPS.get(op) if isinstance(op, str) else None
     if entry is None:
         raise ConfigError(f"params.op: unknown analytic operation {op!r}")
-    return NAME_VALUE_HEADER, _name_value_rows(cfg, op, [entry])
+    return NAME_VALUE_HEADER, _name_value_rows(cfg, op, [entry], {"op": MISSING})
 
 
 def _run_plan(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     sections = [entry for key, entry in PLAN_SECTIONS.items() if key in cfg.params]
-    rows = _name_value_rows(cfg, "plan", sections)
+    rows = _name_value_rows(cfg, "plan", sections, {})
     if not rows:
         raise ConfigError("params: plan config needs sender_budget, model+w, or slot entries")
     return NAME_VALUE_HEADER, rows
@@ -396,7 +405,7 @@ def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
     manifest = {
-        "config_sha256": config_sha256(cfg),
+        "config_sha256": cfg.sha256,
         "seed": cfg.seed,
         "trials": cfg.trials,
         "threads": cfg.threads,

@@ -132,10 +132,21 @@ class ChainEstimate:
     pairwise: tuple[ViolationEstimate, ...] = field(default_factory=tuple)
 
 
+def _wilson_low(successes: int, trials: int) -> float:
+    """Lower end of the 95% Wilson score interval (Brown, Cai & DasGupta,
+    Stat. Sci. 2001); exactly 0 for no successes."""
+    p = successes / trials
+    z2 = 1.96 * 1.96 / trials
+    return (p + z2 / 2 - math.sqrt(z2 * (p * (1.0 - p) + z2 / 4))) / (1.0 + z2)
+
+
 def _make_estimate(successes: int, trials: int, seed: RandomSeed) -> ViolationEstimate:
-    p = int(successes) / trials  # a Python float, also for NumPy counts
+    successes = int(successes)  # a Python int, also for NumPy counts
+    p = successes / trials
     se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
+    # Unlike p +- 1.96 se, the Wilson interval keeps its width at p = 0 and 1;
+    # its upper end is 1 minus the lower end for the failures.
+    ci = (_wilson_low(successes, trials), 1.0 - _wilson_low(trials - successes, trials))
     return ViolationEstimate(p, trials, se, ci, seed)
 
 

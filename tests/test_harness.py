@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 import twisim
-from twisim import analytics, harness, planner
+from twisim import analytics, config, harness, planner
 from twisim.cli import main
 from twisim.config import (
     ConfigError,
     config_from_dict,
-    config_sha256,
-    config_to_dict,
     load_config,
     model_from_dict,
 )
@@ -31,7 +29,8 @@ from twisim.harness import (
     run_experiment,
     two_rate_chain,
 )
-from twisim.twi import event_throughput_loss
+from twisim.inputs import SensorMode
+from twisim.twi import TwiSpec, event_throughput_loss
 
 CHAIN_CFG = {
     "kind": "chain_sim",
@@ -48,17 +47,19 @@ CHAIN_CFG = {
 }
 
 
+MODELS = [
+    {"kind": "constant", "value": 0.003},
+    {"kind": "uniform", "low": 0.0, "high": 1.0},
+    {"kind": "shifted_exponential", "shift": 0.1, "rate": 2.0},
+    {"kind": "two_point", "value_a": 2.0, "value_b": 1.0, "p_a": 0.5},
+    {"kind": "empirical", "values": [0.1, 0.2]},
+]
+
+
 def test_model_round_trip():
-    for obj in [
-        {"kind": "constant", "value": 0.003},
-        {"kind": "uniform", "low": 0.0, "high": 1.0},
-        {"kind": "shifted_exponential", "shift": 0.1, "rate": 2.0},
-        {"kind": "two_point", "value_a": 2.0, "value_b": 1.0, "p_a": 0.5},
-        {"kind": "empirical", "values": [0.1, 0.2]},
-    ]:
+    for obj in MODELS:
         model = model_from_dict(obj)
         assert model_from_dict(json.loads(json.dumps(obj))) == model
-        assert model.to_dict() == obj
 
 
 def test_model_errors_name_the_field():
@@ -68,70 +69,6 @@ def test_model_errors_name_the_field():
         model_from_dict({"kind": "constant"})
     with pytest.raises(ConfigError, match="model"):
         model_from_dict({"kind": "uniform", "low": 2.0, "high": 1.0})
-
-
-def test_config_round_trip():
-    cfg = config_from_dict(CHAIN_CFG)
-    assert cfg.scenario.n == 2
-    assert cfg.twi.random_offset
-    again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
-    assert again == cfg
-
-
-def _compact_sha256(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    assert "\n" not in text and ", " not in text and ": " not in text
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def test_serialized_config_is_compact_sorted_json():
-    # Without a scenario trace the hash is that of the config's compact,
-    # sorted-key JSON; a trace in params stays raw JSON.
-    expected_cv = {
-        "op": "expected_cv_two_input",
-        "t_s": 1.0,
-        "w": 0.5,
-        "model": {"kind": "empirical", "values": [0.1, 0.25]},
-    }
-    for obj in (CHAIN_CFG, {"kind": "analytic", "params": expected_cv}):
-        cfg = config_from_dict(obj)
-        assert config_sha256(cfg) == _compact_sha256(config_to_dict(cfg))
-
-
-def _trace_fanout(*traces):
-    links = [{"type": "link", "model": {"kind": "empirical", "values": v}} for v in traces]
-    return {"kind": "fanout_sim", "scenario": {"inputs": links}}
-
-
-def _trace_sha256(*traces) -> str:
-    return config_sha256(config_from_dict(_trace_fanout(*traces)))
-
-
-def test_config_sha256_hashes_a_trace_by_its_float64_bytes():
-    cfg = config_from_dict(_trace_fanout([0.5, 1.5]))
-    obj = config_to_dict(cfg)
-    digest = hashlib.sha256(np.array([0.5, 1.5], dtype="<f8").tobytes()).hexdigest()
-    obj["scenario"]["inputs"][0]["model"] = {"kind": "empirical", "values_sha256": digest}
-    assert config_sha256(cfg) == _compact_sha256(obj)
-    assert _trace_sha256([1, 2]) == _trace_sha256([1.0, 2.0])
-
-
-def test_config_sha256_tells_traces_apart():
-    base = _trace_sha256([0.1, 0.2, 0.3], [0.4])
-    assert _trace_sha256([0.1, float(np.nextafter(0.2, 1.0)), 0.3], [0.4]) != base  # one ulp
-    assert _trace_sha256([0.1, 0.3, 0.2], [0.4]) != base  # two values swapped
-    assert _trace_sha256([0.4], [0.1, 0.2, 0.3]) != base  # traces moved between links
-    assert _trace_sha256([0.1, 0.2, 0.3], [0.4]) == base
-
-
-def test_config_sha256_never_formats_a_scenario_trace(monkeypatch):
-    cfg = config_from_dict(_trace_fanout([0.1, 0.2], [0.3]))
-
-    def refuse(self):
-        raise AssertionError("a scenario trace was formatted as text")
-
-    monkeypatch.setattr(Empirical, "to_dict", refuse)
-    assert len(config_sha256(cfg)) == 64
 
 
 def test_config_errors_name_the_field():
@@ -430,6 +367,16 @@ def _sensor_chain(sensor_id):
             )
             for name, bad in [("true", True), ("string", "7"), ("nine", 9)]
         ),
+        *(
+            pytest.param(
+                "reproduce",
+                {"kind": "reproduce", "schema_version": bad, "params": {"figure": 7}},
+                "config.json.schema_version",
+                f"unsupported version {bad!r}",
+                id=f"schema-version-{name}",
+            )
+            for name, bad in [("true", True), ("float", 1.0), ("two", 2)]
+        ),
     ],
 )
 def test_booleans_and_strings_are_strict(tmp_path, capsys, command, cfg, path, message):
@@ -475,6 +422,137 @@ def test_empirical_values_must_be_numbers(tmp_path, capsys, bad):
     assert f"expected a number, got {bad!r}" in err
 
 
+LINK = CHAIN_CFG["scenario"]["inputs"][0]
+SENSOR = {"type": "sensor", "t_s": 0.01}
+FANOUT_CFG = {"kind": "fanout_sim", "trials": 100, "scenario": {"inputs": [SENSOR, LINK]}}
+# A config with three misspelt fields; each used to take its default.
+MISSPELT_CFG = {
+    **CHAIN_CFG,
+    "trails": 10,
+    "twi": {"window": 0.5, "offest": "random"},
+    "scenario": {"action_times": [1.0], "inputs": [{**SENSOR, "tua_s": 0.5}, LINK]},
+}
+def _with_params(kind, params):
+    base = {"chain_sim": CHAIN_CFG, "bounds_check": {**CHAIN_CFG, "kind": "bounds_check"}, "fanout_sim": FANOUT_CFG}
+    return {**base.get(kind, {"kind": kind}), "params": params}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    [
+        pytest.param("simulate", MISSPELT_CFG, "config.json.trails", id="misspelt-config"),
+        pytest.param("simulate", {**CHAIN_CFG, "trails": 10}, "config.json.trails", id="top-level"),
+        pytest.param(
+            "analytic",
+            {"kind": "analytic", "scenario": CHAIN_CFG["scenario"], "params": {"op": "event_throughput_loss"}},
+            "config.json.scenario",
+            id="top-level-scenario-of-analytic",
+        ),
+        pytest.param(
+            "simulate", {**CHAIN_CFG, "twi": {"window": 0.5, "offest": "random"}}, "config.json.twi.offest", id="twi"
+        ),
+        pytest.param(
+            "simulate",
+            {**CHAIN_CFG, "scenario": {**CHAIN_CFG["scenario"], "anchor": True}},
+            "config.json.scenario.anchor",
+            id="chain-scenario",
+        ),
+        pytest.param(
+            "simulate",
+            {**FANOUT_CFG, "scenario": {**FANOUT_CFG["scenario"], "action_times": []}},
+            "config.json.scenario.action_times",
+            id="fanout-scenario",
+        ),
+        pytest.param(
+            "simulate",
+            {**FANOUT_CFG, "scenario": {"inputs": [SENSOR, {**LINK, "dealy": 0.1}]}},
+            "config.json.scenario.inputs[1].dealy",
+            id="link",
+        ),
+        pytest.param(
+            "simulate",
+            {**FANOUT_CFG, "scenario": {"inputs": [{**SENSOR, "d_s": 100.0}, LINK]}},
+            "config.json.scenario.inputs[0].d_s",
+            id="sensor",
+        ),
+        *(
+            pytest.param(
+                "simulate",
+                {**FANOUT_CFG, "scenario": {"inputs": [{"type": "link", "model": {**model, "scale": 2.0}}]}},
+                "config.json.scenario.inputs[0].model.scale",
+                id=f"model-{model['kind']}",
+            )
+            for model in MODELS
+        ),
+        pytest.param(
+            "analytic",
+            _with_params("analytic", {"op": "event_throughput_loss", "w": 1.0, "t_0": 2.0, "t_s": 1.0}),
+            "params.t_s",
+            id="params-analytic",
+        ),
+        pytest.param(
+            "analytic",
+            _with_params("analytic", {"op": "expected_cv_two_input", "t_s": 0.01, "model": MODELS[1], "t_min": 0.0}),
+            "params.t_min",
+            id="params-analytic-dropped-field",
+        ),
+        pytest.param(
+            "analytic",
+            _with_params("analytic", {"op": "expected_cv_two_input", "t_s": 0.01, "model": {**MODELS[1], "mean": 1}}),
+            "params.model.mean",
+            id="params-analytic-model",
+        ),
+        pytest.param(
+            "plan",
+            _with_params("plan", {"slot": 0.002, "t": 0.0051, "t_s": 0.01}),
+            "params.t_s",
+            id="params-plan",
+        ),
+        pytest.param(
+            "simulate",
+            _with_params("chain_sim", {"common_random_number": False}),
+            "params.common_random_number",
+            id="params-chain_sim",
+        ),
+        pytest.param(
+            "simulate",
+            _with_params("fanout_sim", {"common_random_numbers": True}),
+            "params.common_random_numbers",
+            id="params-fanout_sim",
+        ),
+        pytest.param(
+            "bounds", _with_params("bounds_check", {"figure": 7}), "params.figure", id="params-bounds_check"
+        ),
+        pytest.param(
+            "reproduce", _with_params("reproduce", {"figure": 7, "trials": 10}), "params.trials", id="params-reproduce"
+        ),
+    ],
+)
+def test_an_unknown_key_exits_2_naming_it(tmp_path, capsys, command, cfg, path):
+    cfg_path = write_cfg(tmp_path, cfg, "config.json")
+    assert main([command, cfg_path]) == 2
+    captured = capsys.readouterr()
+    prefix = "" if path.startswith("params.") else cfg_path[: -len("config.json")]
+    assert captured.err.startswith(f"config error: {prefix}{path}: unknown field")
+    assert captured.out == ""
+
+
+def test_manifest_hashes_the_bytes_of_the_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(CHAIN_CFG, indent=1).encode() + b"\n")
+    assert main(["simulate", str(path), "--out", str(tmp_path / "sim.csv")]) == 0
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    # without a config file, the hash is that of the document README gives
+    assert main(["reproduce", "--figure", "7", "--trials", "100", "--out", str(tmp_path / "f7.csv")]) == 0
+    manifest = json.loads((tmp_path / "f7.csv.manifest.json").read_text())
+    document = b'{"kind":"reproduce","params":{"figure":7}}'
+    assert manifest["config_sha256"] == hashlib.sha256(document).hexdigest()
+    fig8 = write_cfg(tmp_path, {"kind": "reproduce", "params": {"figure": 8}})
+    assert main(["reproduce", fig8, "--figure", "7"]) == 2
+    assert capsys.readouterr().err == "config error: reproduce takes a config file or --figure, not both\n"
+
+
 def test_cli_reproduce_needs_figure(tmp_path, capsys):
     assert main(["reproduce"]) == 2
     out = tmp_path / "f7.csv"
@@ -495,8 +573,9 @@ def test_cli_sweep(tmp_path):
 # ---------------------------------------------------------------------------
 
 MODEL = {"kind": "uniform", "low": 0.0, "high": 0.01}
-RECEIVER = {"t_s": 0.01, "tau_s": 0.002, "tau_a": 0.001, "t_min": 0.0, "t_max": 0.03, "w": 0.004}
-TWO = analytics.TwoInputParams(**RECEIVER)
+RECEIVER = {"t_s": 0.01, "tau_s": 0.002, "tau_a": 0.001, "w": 0.004}
+TWO_INPUT = {**RECEIVER, "t_min": 0.0, "t_max": 0.03}
+TWO = analytics.TwoInputParams(**TWO_INPUT)
 
 
 CV = {"op": "cv_physical_cause", "t_s": 1.0, "t_d": 0.5}
@@ -607,11 +686,11 @@ OP_CASES = [
         {"p_violation": analytics.p_cv_digital_cause(0.1, 0.3, 0.5)},
     ),
     (
-        {"op": "conditions_physical_cause", **RECEIVER, "t_ab": 0.02},
+        {"op": "conditions_physical_cause", **TWO_INPUT, "t_ab": 0.02},
         asdict(analytics.causality_conditions_physical_cause(TWO, 0.02)),
     ),
     (
-        {"op": "conditions_digital_cause", **RECEIVER, "t_ab": 0.02},
+        {"op": "conditions_digital_cause", **TWO_INPUT, "t_ab": 0.02},
         asdict(analytics.causality_conditions_digital_cause(TWO, 0.02)),
     ),
     (
@@ -659,10 +738,18 @@ def test_each_plan_section_matches_a_direct_call():
 
 
 def _readme_default(default):
+    if default is MISSING:
+        return "required"
     if default is None:
         return "none"
+    if default == TwiSpec(0.0):
+        return "{}"
+    if isinstance(default, SensorMode):
+        default = default.value
     if isinstance(default, str):
         return f'"{default}"'
+    if isinstance(default, (bool, dict, tuple)):
+        return json.dumps(list(default) if isinstance(default, tuple) else default)
     return "inf" if default == math.inf else f"{default:g}"
 
 
@@ -696,3 +783,38 @@ def test_readme_lists_every_analytic_op_and_plan_section():
         for name, (fields, names, _) in table.items()
     ]
     assert listed == expected
+
+
+def _readme_field_tables() -> dict[str, dict[str, str]]:
+    """README heading -> {field: default cell, backticks removed}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tables, heading = {}, None
+    for line in readme.splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("#").strip()
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and re.fullmatch(r"`\w+`", cells[0]):
+            tables.setdefault(heading, {})[cells[0].strip("`")] = cells[2].replace("`", "")
+    return tables
+
+
+def test_readme_lists_every_config_field():
+    def listed(spec, tag=None):
+        return {**({tag: "required"} if tag else {}), **{f: _readme_default(d) for f, (_, d) in spec.items()}}
+
+    # every kind reads the same top-level fields, plus a required scenario
+    # for the simulation kinds
+    specs = config._CONFIG_SPECS
+    with_scenario = [kind for kind, spec in specs.items() if "scenario" in spec]
+    assert all(specs[kind]["scenario"][1] is MISSING for kind in with_scenario)
+    assert all(spec.keys() - {"scenario"} == specs["analytic"].keys() for spec in specs.values())
+    expected = {
+        "top level": {**listed(specs["analytic"], "kind"), "scenario": "required for " + ", ".join(with_scenario)},
+        "twi": listed(config._TWI_SPEC),
+        "chain scenario": listed(config._CHAIN_SPEC),
+        "fan-out scenario": listed(config._FANOUT_SPEC),
+        **{f"{kind} input": listed(spec, "type") for kind, spec in config._INPUT_SPECS.items()},
+        **{f"{kind} model": listed(spec, "kind") for kind, spec in config._MODEL_SPECS.items()},
+    }
+    tables = _readme_field_tables()
+    assert {name: tables.get(name) for name in expected} == expected

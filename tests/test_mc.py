@@ -198,6 +198,25 @@ def test_derived_seed_stable_and_distinct():
     assert derived_seed(2, 2) != derived_seed(1, 2)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 10, 1000, 1 << 19])
+def test_wilson_interval_keeps_its_width_at_zero_and_one(trials):
+    none, every = mc._make_estimate(0, trials, 1), mc._make_estimate(np.int64(trials), trials, 1)
+    assert none.ci95[0] == 0.0 < none.ci95[1] and none.std_err == 0.0
+    assert every.ci95[0] < every.ci95[1] == 1.0 and every.std_err == 0.0
+    assert every.ci95[0] == pytest.approx(1.0 - none.ci95[1], abs=1e-15)
+    for k in range(min(trials, 50) + 1):
+        e = mc._make_estimate(k, trials, 1)
+        assert 0.0 <= e.ci95[0] <= e.p_hat <= e.ci95[1] <= 1.0
+
+
+def test_wilson_interval_reference_values():
+    # 95% Wilson intervals (z = 1.96): 0/10 -> [0, 0.2775], 50/100 -> [0.4038, 0.5962]
+    assert mc._make_estimate(0, 10, 1).ci95 == pytest.approx((0.0, 0.2775402), abs=1e-7)
+    assert mc._make_estimate(50, 100, 1).ci95 == pytest.approx((0.4038298, 0.5961702), abs=1e-7)
+    e = mc._make_estimate(50, 100, 1)
+    assert (e.p_hat, e.std_err) == (0.5, 0.05)  # the estimate and its SE are the Wald ones
+
+
 def test_sim_violation_fixed_arrivals():
     # arrivals 1 and 3; random offset, W=4 -> p = 2/4
     s = FanOutScenario(inputs=(LinkInput(Constant(1.0)), LinkInput(Constant(3.0))))
