@@ -208,18 +208,20 @@ def read_params(params: dict, spec: dict[str, Any]) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A checked config.  ``sha256`` is the SHA-256 of the JSON bytes it
-    was read from, ``None`` for one built by ``config_from_dict``."""
+    """A checked config.  ``twi``, ``w_sweep`` and ``scenario`` keep their
+    defaults for the kinds that do not read them.  ``sha256`` is the SHA-256
+    of the JSON bytes it was read from, ``None`` for one built by
+    ``config_from_dict``."""
 
     kind: str
     seed: int
     trials: int
     threads: int
-    twi: TwiSpec
-    w_sweep: tuple[float, ...]
     params: dict
     output: Optional[str]
     scenario_id: str
+    twi: TwiSpec = TwiSpec(0.0)
+    w_sweep: tuple[float, ...] = ()
     scenario: Optional[Union[CausalChainScenario, FanOutScenario]] = None
     sha256: Optional[str] = None
 
@@ -243,23 +245,28 @@ def _as_params(value: Any, path: str) -> dict:
     return value
 
 
+# The top-level fields of each kind: every kind takes the common ones (seed,
+# trials and threads too, though only the simulation kinds draw), and a
+# field only some kinds read is unknown to the others.
 _COMMON_SPEC = {
     "schema_version": (_as_schema_version, SCHEMA_VERSION),
     "seed": (lambda value, path: _as_int(value, path, 0), 1),
     "trials": (lambda value, path: _as_int(value, path, 1), 100_000),
     "threads": (lambda value, path: _as_int(value, path, 1), 1),
-    "twi": (_as_object(TwiSpec, _TWI_SPEC), TwiSpec(0.0)),
-    "w_sweep": (_as_sweep, ()),
     "params": (_as_params, {}),  # read by the kind's runner, never written to
     "output": (_as_optional_str, None),
     "scenario_id": (_as_csv_field, "run"),
 }
-_CHAIN_CONFIG_SPEC = {**_COMMON_SPEC, "scenario": (_as_object(CausalChainScenario, _CHAIN_SPEC), MISSING)}
+_TWI_FIELD = {"twi": (_as_object(TwiSpec, _TWI_SPEC), TwiSpec(0.0))}
+_CHAIN_FIELD = {"scenario": (_as_object(CausalChainScenario, _CHAIN_SPEC), MISSING)}
 _CONFIG_SPECS = {
     "analytic": _COMMON_SPEC,
-    "chain_sim": _CHAIN_CONFIG_SPEC,
-    "fanout_sim": {**_COMMON_SPEC, "scenario": (_as_object(FanOutScenario, _FANOUT_SPEC), MISSING)},
-    "bounds_check": _CHAIN_CONFIG_SPEC,
+    # a chain_sim with a w_sweep runs the sweep and does not read twi
+    "chain_sim": {**_COMMON_SPEC, **_TWI_FIELD, "w_sweep": (_as_sweep, ()), **_CHAIN_FIELD},
+    "fanout_sim": {
+        **_COMMON_SPEC, **_TWI_FIELD, "scenario": (_as_object(FanOutScenario, _FANOUT_SPEC), MISSING)
+    },
+    "bounds_check": {**_COMMON_SPEC, **_TWI_FIELD, **_CHAIN_FIELD},
     "plan": _COMMON_SPEC,
     "reproduce": _COMMON_SPEC,
 }

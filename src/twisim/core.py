@@ -36,10 +36,6 @@ def ensure_duration(value: float, name: str = "duration") -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_draws(out, size: Optional[int]):
-    return float(out) if size is None else np.asarray(out, dtype=float)
-
-
 class _Model:
     """What every transmission-time model provides.
 
@@ -47,8 +43,9 @@ class _Model:
     ``__post_init__``.  ``mean``, ``tail``, ``laplace`` and ``clamped_ratio``
     default to ``expect`` over the matching function, which is exact for the
     finitely supported models; continuous models override them with closed
-    forms.  ``sample`` draws a fixed count per (model, size) so that streams
-    replay bit-identically.
+    forms.  Each model draws through one routine, ``sample_into``, which
+    takes a fixed count of values from the stream per draw, so that streams
+    replay bit-identically; ``sample`` wraps it.
     """
 
     kind: ClassVar[str]  # the model's name in configs
@@ -57,9 +54,17 @@ class _Model:
         """Tight support bounds (t_min, t_max); t_max may be +inf."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """A float for size=None, else an ndarray of ``size`` draws."""
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Write ``len(out)`` draws into the contiguous float64 array ``out``,
+        say a column of a Fortran-order matrix, and no other memory."""
         raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None, out: Optional[np.ndarray] = None):
+        """A float for size=None, else ``size`` draws as an ndarray: ``out``,
+        written in place, if given, else a new one."""
+        draws = np.empty(1 if size is None else size) if out is None else out
+        self.sample_into(rng, draws)
+        return float(draws[0]) if size is None else draws
 
     def expect(self, fn: Callable[[float], float]) -> float:
         """E[fn(T)], by atom sums or adaptive quadrature."""
@@ -93,8 +98,8 @@ class Constant(_Model):
     def support(self) -> tuple[float, float]:
         return self.value, self.value
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return self.value if size is None else np.full(size, self.value)
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        out.fill(self.value)
 
     def expect(self, fn: Callable[[float], float]) -> float:
         return fn(self.value)
@@ -116,8 +121,11 @@ class UniformRange(_Model):
     def support(self) -> tuple[float, float]:
         return self.low, self.high
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return _as_draws(rng.uniform(self.low, self.high, size=size), size)
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # the values of rng.uniform(low, high), which computes low + (high - low) * u
+        rng.random(out=out)
+        out *= self.high - self.low
+        out += self.low
 
     def expect(self, fn: Callable[[float], float]) -> float:
         if self.high == self.low:
@@ -172,8 +180,13 @@ class ShiftedExponential(_Model):
     def support(self) -> tuple[float, float]:
         return self.shift, math.inf
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return _as_draws(self.shift + rng.exponential(1.0 / self.rate, size=size), size)
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # the values of shift + rng.exponential(1 / rate); adding a zero
+        # shift to draws >= +0 would change none of them
+        rng.standard_exponential(out=out)
+        out *= 1.0 / self.rate
+        if self.shift:
+            out += self.shift
 
     def expect(self, fn: Callable[[float], float]) -> float:
         from scipy import integrate  # imported here: it costs more than the rest of the CLI
@@ -234,16 +247,13 @@ class TwoPoint(_Model):
             return self.value_a, self.value_a
         return min(self.value_a, self.value_b), max(self.value_a, self.value_b)
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        u = rng.random(size=size)
-        if size is None:
-            return float(self.value_a if u < self.p_a else self.value_b)
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out)
         # select the value bits without a branch or a gather: mask*(a^b) ^ b
         a, b = np.array((self.value_a, self.value_b), dtype=np.float64).view(np.uint64)
-        bits = (u < self.p_a).astype(np.uint64)
-        bits *= a ^ b
+        bits = out.view(np.uint64)
+        np.multiply(out < self.p_a, a ^ b, out=bits)
         bits ^= b
-        return bits.view(np.float64)
 
     def expect(self, fn: Callable[[float], float]) -> float:
         return self.p_a * fn(self.value_a) + (1.0 - self.p_a) * fn(self.value_b)
@@ -276,9 +286,9 @@ class Empirical(_Model):
     def support(self) -> tuple[float, float]:
         return min(self.values), max(self.values)
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        idx = rng.integers(0, len(self.array), size=size)
-        return _as_draws(self.array[idx], size)
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        idx = rng.integers(0, len(self.array), size=len(out))
+        np.take(self.array, idx, out=out, mode="clip")  # "raise" would buffer; idx is in range
 
     def expect(self, fn: Callable[[float], float]) -> float:
         return sum(fn(v) for v in self.values) / len(self.values)
@@ -310,9 +320,15 @@ def validate_model(model: TransmissionTimeModel) -> None:
         raise ParameterError(f"unknown transmission-time model: {model!r}")
 
 
-def sample(model: TransmissionTimeModel, rng: np.random.Generator, size: Optional[int] = None):
-    """``model.sample(rng, size)``; the Monte-Carlo estimators draw through here."""
-    return model.sample(rng, size)
+def sample(
+    model: TransmissionTimeModel,
+    rng: np.random.Generator,
+    size: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
+):
+    """``model.sample(rng, size, out)``; the Monte-Carlo estimators draw
+    through here, into ``out``."""
+    return model.sample(rng, size, out)
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,18 @@ def rows_to_csv(header: Sequence[str], rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sigma_distance(estimate: float, analytic: Optional[float], std_err: float):
+def _sigma_distance(estimate: float, analytic: Optional[float], trials: int):
+    """The score statistic |p - a| / sqrt(a (1 - a) / n) of the estimate p
+    against the analytic value a.  The Wilson interval inverts it, so it is
+    at most 1.96 exactly when a lies in [ci_lo, ci_hi]; at a = 0 or 1 it is
+    0 if p == a, else inf."""
     if analytic is None:
         return None
     diff = abs(estimate - analytic)
-    if std_err == 0.0:
+    variance = analytic * (1.0 - analytic)
+    if variance <= 0.0:
         return 0.0 if diff == 0.0 else math.inf
-    return diff / std_err
+    return diff / math.sqrt(variance) * math.sqrt(trials)  # variance / trials can underflow
 
 
 def _estimate_row(
@@ -79,7 +84,7 @@ def _estimate_row(
         "ci_hi": e.ci95[1],
         "analytic_value": analytic,
         "bound_value": None,
-        "sigma_distance": _sigma_distance(e.p_hat, analytic, e.std_err),
+        "sigma_distance": _sigma_distance(e.p_hat, analytic, e.trials),
     }
 
 

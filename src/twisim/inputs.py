@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from twisim.core import Duration, ParameterError, _as_draws, ensure_duration
+from twisim.core import Duration, ParameterError, ensure_duration
 
 
 class SensorMode(enum.Enum):
@@ -42,13 +42,22 @@ def sample_sensor_detection_time(
     spec: SensorSpec,
     rng: np.random.Generator,
     size: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
 ):
     """Delay from physical event to its sensing event: tau_s + phi_s + t_s.
 
     Asynchronous sensors have phi_s = 0 (deterministic); synchronous sensors
     draw phi_s uniform in [0, t_s), giving support [tau_s+t_s, tau_s+2*t_s).
+    A float for size=None, else ``size`` draws as an ndarray: ``out`` (a
+    contiguous float64 array), written in place, if given, else a new one.
     """
+    draws = np.empty(1 if size is None else size) if out is None else out
     base = spec.tau_s + spec.t_s
     if spec.mode is SensorMode.ASYNCHRONOUS:
-        return base if size is None else np.full(size, base)
-    return _as_draws(base + rng.uniform(0.0, spec.t_s, size=size), size)
+        draws.fill(base)
+    else:
+        # the values of base + rng.uniform(0, t_s), which computes 0 + t_s * u
+        rng.random(out=draws)
+        draws *= spec.t_s
+        draws += base
+    return float(draws[0]) if size is None else draws

@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,31 +157,42 @@ def _random_offset_twi(w: float) -> TwiSpec:
 
 def _chain_arrivals(
     s: Union[CausalChainScenario, FanOutScenario], rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(count, N) arrival times plus one offset fraction per trial; each
-    input is sampled in order, then the fractions.  The matrix is
-    input-major (Fortran order): each input's draws fill one contiguous
-    column, so row-wise stamping and reductions run as N vector operations.
-    A link's draws plus its delay are written straight into its column."""
+) -> np.ndarray:
+    """(count, N) arrival times, input-major (Fortran order): each input's
+    draws fill one contiguous column, so row-wise stamping and reductions
+    run as N vector operations.  Inputs are drawn in order, each straight
+    into its column, which then gets a link's delay and the event's
+    occurrence time added in place.  Adding 0.0 is skipped; draws are >= +0,
+    so it would change none of them.  A caller that needs offset fractions
+    draws them from ``rng`` next."""
     t = np.empty((count, s.n), order="F")
-    for i, inp in enumerate(s.inputs):
+    for i, (inp, occurs) in enumerate(zip(s.inputs, s.occurrence_offsets())):
+        col = t[:, i]
         if isinstance(inp, SensorSpec):
-            t[:, i] = sample_sensor_detection_time(inp, rng, count)
+            sample_sensor_detection_time(inp, rng, count, col)
         else:
-            np.add(sample(inp.model, rng, count), inp.delay, out=t[:, i])
-    t += s.occurrence_offsets()
-    u = rng.random(count)
-    return t, u
+            sample(inp.model, rng, count, col)
+            if inp.delay:
+                col += inp.delay
+        if occurs:
+            col += occurs
+    return t
 
 
-def _stamps(t: np.ndarray, u: np.ndarray, twi: TwiSpec) -> np.ndarray:
+def _offset_fractions(rng: np.random.Generator, count: int, random_offset: bool) -> Optional[np.ndarray]:
+    """One offset fraction per trial when a window has a random offset, else
+    None.  They are a chunk's last draws, so skipping them changes no other."""
+    return rng.random(count) if random_offset else None
+
+
+def _stamps(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
     """Stamps of (trials, N) arrivals t; a random offset is u * W per trial."""
     offset = u[:, None] * twi.window if twi.random_offset else float(twi.offset)
     return stamp_array(t, twi.window, offset)
 
 
 def _ordered_pairs(
-    t: np.ndarray, u: np.ndarray, twi: TwiSpec, anchor_first: bool
+    t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec, anchor_first: bool
 ) -> np.ndarray:
     """Boolean (trials, N-1) matrix: adjacent pair in (stamped) order."""
     if anchor_first and twi.window > 0.0:
@@ -230,7 +241,9 @@ def estimate_chain(
     estimated on the same trials."""
 
     def work(c: int, count: int):
-        t, u = _chain_arrivals(s, chunk_rng(seed, c), count)
+        rng = chunk_rng(seed, c)
+        t = _chain_arrivals(s, rng, count)
+        u = _offset_fractions(rng, count, twi.random_offset)
         ok = _ordered_pairs(t, u, twi, s.anchor_first_arrival)
         return np.count_nonzero(ok.all(axis=1)), [np.count_nonzero(col) for col in ok.T]
 
@@ -265,6 +278,7 @@ def estimate_no_violation_sweep(
     only those at each width: a trial is violated iff one of them is.
     """
     twis = [_random_offset_twi(ensure_duration(w, "w")) for w in w_values]
+    random_offset = any(twi.random_offset for twi in twis)
 
     if not common_random_numbers:
         return [
@@ -273,11 +287,13 @@ def estimate_no_violation_sweep(
         ]
 
     def work(c: int, count: int):
-        t, u = _chain_arrivals(s, chunk_rng(seed, c), count)
+        rng = chunk_rng(seed, c)
+        t = _chain_arrivals(s, rng, count)
+        u = _offset_fractions(rng, count, random_offset)
         raw, rows = _inverted_pairs(t)
         # W > 0 stamps the anchored times; the shift is the same for every W
         shifted = raw - t[rows, :1] if s.anchor_first_arrival else raw
-        u = u[rows]
+        u = None if u is None else u[rows]
         joint = []
         for twi in twis:
             ok = _ordered_pairs(shifted if twi.window > 0.0 else raw, u, twi, False)
@@ -295,11 +311,18 @@ def estimate_sim_violation(
     s: FanOutScenario, twi: TwiSpec, trials: int, seed: RandomSeed, threads: int = 1
 ) -> ViolationEstimate:
     """Probability that the N perceptions of one event get differing
-    timestamps (raw-time inequality when W = 0)."""
+    timestamps (raw-time inequality when W = 0).  Only each trial's earliest
+    and latest arrival are stamped: the window rule is monotone in t, so the
+    stamps differ iff those two do."""
 
     def work(c: int, count: int):
-        stamps = _stamps(*_chain_arrivals(s, chunk_rng(seed, c), count), twi)
-        return np.count_nonzero((stamps != stamps[:, :1]).any(axis=1))
+        rng = chunk_rng(seed, c)
+        t = _chain_arrivals(s, rng, count)
+        ends = np.empty((count, 2), order="F")
+        t.min(axis=1, out=ends[:, 0])
+        t.max(axis=1, out=ends[:, 1])
+        stamps = _stamps(ends, _offset_fractions(rng, count, twi.random_offset), twi)
+        return np.count_nonzero(stamps[:, 0] != stamps[:, 1])
 
     violations = sum(_map_chunks(work, trials, threads))
     return _make_estimate(violations, trials, seed)
@@ -324,18 +347,21 @@ def estimate_cv_two_input(
 
     def work(c: int, count: int):
         rng = chunk_rng(seed, c)
-        phi = rng.uniform(0.0, p.t_s, count)
-        t_ab = sample(model, rng, count)
-        u = rng.random(count)
+        t = np.empty((count, 2), order="F")  # (early, late): a violation stamps early first
+        if cause == "physical":  # violation: digital first
+            t_digital, t_sense = t[:, 0], t[:, 1]
+            delay = p.tau_s  # t_sense = tau_s + phi + t_s
+        else:  # violation: sensing first
+            t_sense, t_digital = t[:, 0], t[:, 1]
+            delay = p.tau_s + p.tau_a  # t_sense = tau_s + tau_a + phi + t_s
+        rng.random(out=t_sense)  # phi = rng.uniform(0, t_s), which computes 0 + t_s * u
+        t_sense *= p.t_s
+        t_sense += delay
+        t_sense += p.t_s
+        sample(model, rng, count, t_digital)  # t_ab
         if cause == "physical":
-            t_sense = p.tau_s + phi + p.t_s
-            t_digital = p.tau_a + t_ab
-            early, late = t_digital, t_sense  # violation: digital first
-        else:
-            t_sense = p.tau_s + p.tau_a + phi + p.t_s
-            t_digital = t_ab
-            early, late = t_sense, t_digital  # violation: sensing first
-        stamps = _stamps(np.array((early, late)).T, u, twi)
+            t_digital += p.tau_a
+        stamps = _stamps(t, _offset_fractions(rng, count, twi.random_offset), twi)
         return np.count_nonzero(stamps[:, 0] < stamps[:, 1])
 
     violations = sum(_map_chunks(work, trials, threads))

@@ -21,6 +21,7 @@ from twisim.core import (
     sample,
     validate_model,
 )
+from twisim.inputs import SensorMode, SensorSpec, sample_sensor_detection_time
 
 MODELS = [
     Constant(0.003),
@@ -201,3 +202,57 @@ def test_the_cli_imports_without_scipy_integrate():
     assert out.stdout == "False\n"
     assert UniformRange(0.0, 1.0).expect(lambda t: t) == pytest.approx(0.5)
     assert ShiftedExponential(0.5, 2.0).expect(lambda t: t) == pytest.approx(1.0)
+
+
+moderate = st.floats(min_value=0.0, max_value=1e6)
+models = st.one_of(
+    st.builds(Constant, moderate),
+    st.builds(lambda low, width: UniformRange(low, low + width), moderate, moderate),
+    st.builds(ShiftedExponential, st.one_of(st.just(0.0), moderate), st.floats(min_value=1e-3, max_value=1e3)),
+    st.builds(TwoPoint, moderate, moderate, st.floats(min_value=0.0, max_value=1.0)),
+    st.builds(lambda values: Empirical(tuple(values)), st.lists(moderate, min_size=1, max_size=20)),
+)
+sensors = st.builds(
+    SensorSpec,
+    t_s=st.floats(min_value=1e-6, max_value=1e3),
+    tau_s=st.one_of(st.just(0.0), moderate),
+    mode=st.sampled_from(list(SensorMode)),
+)
+
+
+def _allocating_draws(source, rng, size):
+    """The draws as NumPy's allocating samplers make them."""
+    if isinstance(source, SensorSpec):
+        base = source.tau_s + source.t_s
+        if source.mode is SensorMode.ASYNCHRONOUS:
+            return np.full(size, base)
+        return base + rng.uniform(0.0, source.t_s, size)
+    if isinstance(source, Constant):
+        return np.full(size, float(source.value))
+    if isinstance(source, UniformRange):
+        return rng.uniform(source.low, source.high, size)
+    if isinstance(source, ShiftedExponential):
+        return source.shift + rng.exponential(1.0 / source.rate, size)
+    if isinstance(source, TwoPoint):
+        return np.where(rng.random(size) < source.p_a, float(source.value_a), float(source.value_b))
+    return source.array[rng.integers(0, len(source.array), size)]
+
+
+@given(
+    source=st.one_of(models, sensors),
+    size=st.integers(min_value=0, max_value=200),
+    column=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_draw_into_a_column_is_the_allocating_draw(source, size, column, seed):
+    draw = sample_sensor_detection_time if isinstance(source, SensorSpec) else sample
+    matrix = np.full((size, 3), np.nan, order="F")
+    rngs = [chunk_rng(seed, 0) for _ in range(3)]
+    assert draw(source, rngs[0], size, matrix[:, column]).base is matrix
+    allocated = draw(source, rngs[1], size)
+    reference = _allocating_draws(source, rngs[2], size)
+    for drawn in (matrix[:, column], allocated):
+        assert np.array_equal(drawn.view(np.uint64), reference.view(np.uint64))
+    assert np.isnan(np.delete(matrix, column, axis=1)).all()  # no other memory written
+    assert len({rng.random() for rng in rngs}) == 1  # the stream is at the same position

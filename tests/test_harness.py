@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import twisim
-from twisim import analytics, config, harness, planner
+from twisim import analytics, config, harness, mc, planner
 from twisim.cli import main
 from twisim.config import (
     ConfigError,
@@ -209,6 +211,40 @@ def test_fanout_reports_analytic_reference():
     _, rows = run_experiment(cfg)
     assert rows[0]["analytic_value"] == pytest.approx(0.5)
     assert rows[0]["sigma_distance"] <= 4.0
+
+
+def test_sigma_distance_is_finite_at_an_estimate_of_zero():
+    # arrivals 1.0 and 1.01 at W = 4: violated with probability 0.0025, so
+    # 100 trials see no violation, and the Wilson interval holds 0.0025
+    links = [{"type": "link", "model": {"kind": "constant", "value": v}} for v in (1.0, 1.01)]
+    cfg = config_from_dict(
+        {
+            "kind": "fanout_sim",
+            "trials": 100,
+            "twi": {"window": 4.0, "offset": "random"},
+            "scenario": {"inputs": links},
+        }
+    )
+    (row,) = run_experiment(cfg)[1]
+    assert row["estimate"] == 0.0 and row["ci_lo"] <= row["analytic_value"] <= row["ci_hi"]
+    assert row["sigma_distance"] == pytest.approx(0.0025 / math.sqrt(0.0025 * 0.9975 / 100))
+    assert row["sigma_distance"] == pytest.approx(0.5006, abs=1e-4)
+
+
+@given(
+    trials=st.integers(min_value=1, max_value=10**6),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    analytic=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_sigma_distance_is_the_statistic_the_wilson_interval_inverts(trials, frac, analytic):
+    successes = round(frac * trials)
+    e = mc._make_estimate(successes, trials, 1)
+    z = harness._sigma_distance(e.p_hat, analytic, trials)
+    if analytic in (0.0, 1.0):
+        assert z == (0.0 if e.p_hat == analytic else math.inf)
+    assume(abs(z - 1.96) > 1e-6)  # clear of the interval's ends, where rounding decides
+    assert (z <= 1.96) == (e.ci95[0] <= analytic <= e.ci95[1])
 
 
 def test_reproduce_rows_match_closed_form():
@@ -450,6 +486,25 @@ def _with_params(kind, params):
         ),
         pytest.param(
             "simulate", {**CHAIN_CFG, "twi": {"window": 0.5, "offest": "random"}}, "config.json.twi.offest", id="twi"
+        ),
+        pytest.param(
+            "simulate", {**FANOUT_CFG, "w_sweep": [0.1, 0.2]}, "config.json.w_sweep", id="w_sweep-fanout_sim"
+        ),
+        pytest.param(
+            "bounds",
+            {**CHAIN_CFG, "kind": "bounds_check", "w_sweep": [0.1]},
+            "config.json.w_sweep",
+            id="w_sweep-bounds_check",
+        ),
+        *(
+            pytest.param(
+                kind, {**_with_params(kind, params), "twi": {"window": 1.0}}, "config.json.twi", id=f"twi-{kind}"
+            )
+            for kind, params in (
+                ("analytic", {"op": "event_throughput_loss", "w": 1.0, "t_0": 2.0}),
+                ("plan", {"slot": 0.002}),
+                ("reproduce", {"figure": 7}),
+            )
         ),
         pytest.param(
             "simulate",
@@ -786,15 +841,16 @@ def test_readme_lists_every_analytic_op_and_plan_section():
 
 
 def _readme_field_tables() -> dict[str, dict[str, str]]:
-    """README heading -> {field: default cell, backticks removed}."""
+    """README heading -> {field: the cells after its value cell (the default,
+    and the kinds in the top-level table) joined by " | ", backticks removed}."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     tables, heading = {}, None
     for line in readme.splitlines():
         if line.startswith("#"):
             heading = line.lstrip("#").strip()
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 3 and re.fullmatch(r"`\w+`", cells[0]):
-            tables.setdefault(heading, {})[cells[0].strip("`")] = cells[2].replace("`", "")
+        if len(cells) in (3, 4) and re.fullmatch(r"`\w+`", cells[0]):
+            tables.setdefault(heading, {})[cells[0].strip("`")] = " | ".join(cells[2:]).replace("`", "")
     return tables
 
 
@@ -802,14 +858,22 @@ def test_readme_lists_every_config_field():
     def listed(spec, tag=None):
         return {**({tag: "required"} if tag else {}), **{f: _readme_default(d) for f, (_, d) in spec.items()}}
 
-    # every kind reads the same top-level fields, plus a required scenario
-    # for the simulation kinds
+    # a top-level field has one default, and README names the kinds that take it
     specs = config._CONFIG_SPECS
-    with_scenario = [kind for kind, spec in specs.items() if "scenario" in spec]
-    assert all(specs[kind]["scenario"][1] is MISSING for kind in with_scenario)
-    assert all(spec.keys() - {"scenario"} == specs["analytic"].keys() for spec in specs.values())
+    top_level = {}
+    for spec in specs.values():
+        for name, (_, default) in spec.items():
+            assert _readme_default(top_level.setdefault(name, default)) == _readme_default(default)
+
+    def kinds(name):
+        taking = [kind for kind, spec in specs.items() if name in spec]
+        return "every kind" if taking == list(specs) else ", ".join(taking)
+
     expected = {
-        "top level": {**listed(specs["analytic"], "kind"), "scenario": "required for " + ", ".join(with_scenario)},
+        "top level": {
+            "kind": "required | every kind",
+            **{name: f"{_readme_default(d)} | {kinds(name)}" for name, d in top_level.items()},
+        },
         "twi": listed(config._TWI_SPEC),
         "chain scenario": listed(config._CHAIN_SPEC),
         "fan-out scenario": listed(config._FANOUT_SPEC),

@@ -67,7 +67,7 @@ def pairwise_p(est):
 def test_chain_trial_deterministic_outcome():
     # occurrences 0, 1, 2; transmissions 0.5, 2.8, 0.2 -> arrivals 0.5, 3.8, 2.2
     s = fixed_chain([0.5, 2.8, 0.2], [1.0, 1.0])
-    t, _ = _chain_arrivals(s, chunk_rng(0, 0), 4)
+    t = _chain_arrivals(s, chunk_rng(0, 0), 4)
     assert t == pytest.approx(np.tile([0.5, 3.8, 2.2], (4, 1)))
     # W = 0 compares raw times: only the pair (2, 3) is out of order
     assert stamp_array(t, 0.0) is t
@@ -150,7 +150,7 @@ def test_sensor_input_in_chain():
             LinkInput(Constant(0.5)),
         ),
     )
-    t, _ = _chain_arrivals(s, chunk_rng(0, 0), 1000)
+    t = _chain_arrivals(s, chunk_rng(0, 0), 1000)
     assert t == pytest.approx(np.tile([0.3, 1.5], (1000, 1)))
     est = estimate_chain(s, TwiSpec(0.0), 1000, seed=0)
     assert est.no_violation.p_hat == 1.0
@@ -265,8 +265,8 @@ def test_chunk_arrivals_are_input_major():
         action_times=(0.5,) * 2,
         inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 3,
     )
-    t, u = _chain_arrivals(s, chunk_rng(1, 0), 1000)
-    assert t.shape == (1000, 3) and u.shape == (1000,)
+    t = _chain_arrivals(s, chunk_rng(1, 0), 1000)
+    assert t.shape == (1000, 3)
     assert t.flags.f_contiguous
 
 
@@ -297,7 +297,8 @@ ASYNC_SENSOR = SensorSpec(t_s=0.6, mode=SensorMode.ASYNCHRONOUS, sensor_id="s1")
 )
 def test_chain_arrivals_are_the_stacked_input_draws(s):
     count = 1000
-    t, u = _chain_arrivals(s, chunk_rng(3, 0), count)
+    drawn = chunk_rng(3, 0)
+    t = _chain_arrivals(s, drawn, count)
     rng = chunk_rng(3, 0)  # inputs in order, then the offset fractions
     columns = [
         sample_sensor_detection_time(inp, rng, count)
@@ -307,7 +308,7 @@ def test_chain_arrivals_are_the_stacked_input_draws(s):
     ]
     expected = np.column_stack(columns) + s.occurrence_offsets()
     assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(u, rng.random(count))
+    assert np.array_equal(drawn.random(count), rng.random(count))
 
 
 SWEEP_MODELS = (
@@ -404,3 +405,102 @@ def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
     assert estimate_chain(s, TwiSpec(0.0), 160, seed=3, threads=1000) == serial[160]
     assert sizes == [3, 4, 2]
+
+
+widths = st.sampled_from((0.05, 0.3, 1.5, 4.0))
+windows = st.one_of(
+    st.just(TwiSpec(0.0)),
+    st.builds(lambda w, frac: TwiSpec(w, offset=frac * w), widths, st.sampled_from((0.0, 0.25, 0.9))),
+    st.builds(lambda w: TwiSpec(w, offset=None), widths),
+)
+
+
+@given(
+    inputs=st.lists(chain_inputs, min_size=1, max_size=6),
+    twi=windows,
+    trials=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+    threads=st.sampled_from((1, 2)),
+)
+@settings(max_examples=60, deadline=None)
+def test_fanout_stamped_at_its_extremes_counts_as_stamped_densely(inputs, twi, trials, seed, threads):
+    s = FanOutScenario(tuple(inputs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "CHUNK_SIZE", 64)  # several chunks from few trials
+        est = estimate_sim_violation(s, twi, trials, seed, threads=threads)
+        dense = 0
+        for c, count in mc._chunk_ranges(trials):
+            rng = chunk_rng(seed, c)
+            t = _chain_arrivals(s, rng, count)
+            stamps = mc._stamps(t, rng.random(count) if twi.random_offset else None, twi)
+            dense += np.count_nonzero((stamps != stamps[:, :1]).any(axis=1))
+    assert est == mc._make_estimate(dense, trials, seed)
+
+
+# Estimates at 40000 trials (a full chunk and a partial one), recorded before
+# the offset fractions were drawn only where a window reads them; they are
+# each chunk's last draws, so no estimate may move.
+GOLDEN_CHAIN = CausalChainScenario(
+    action_times=(0.3, 0.0, 0.2),
+    inputs=(
+        LinkInput(ShiftedExponential(0.05, 2.0), 0.1),
+        SYNC_SENSOR,
+        LinkInput(TwoPoint(0.1, 1.3, 0.3)),
+        LinkInput(TRACE, 0.2),
+    ),
+)
+GOLDEN_WINDOWS = {"w0": TwiSpec(0.0), "fixed": TwiSpec(0.7, offset=0.2), "random": TwiSpec(0.7, offset=None)}
+GOLDEN_P_HAT = {
+    "w0": {
+        "chain": 0.12495,
+        "pairs": [0.711725, 0.7035, 0.47215],
+        "fanout": 0.886075,
+        "sweep": [0.12495, 0.6331],
+        "sweep_w0": [0.12495],
+        "physical": 0.891875,
+        "digital": 0.1737,
+    },
+    "fixed": {
+        "chain": 0.36775,
+        "pairs": [0.776775, 1.0, 0.47215],
+        "fanout": 0.840625,
+        "sweep": [0.3193, 0.6331],
+        "sweep_w0": [0.12495],
+        "physical": 0.011075,
+        "digital": 0.00085,
+    },
+    "random": {
+        "chain": 0.3193,
+        "pairs": [0.8449, 0.840675, 0.5481],
+        "fanout": 0.547975,
+        "sweep": [0.3193, 0.6331],
+        "sweep_w0": [0.12495],
+        "physical": 0.011075,
+        "digital": 0.00085,
+    },
+}
+
+
+def _golden_estimates(twi):
+    fanout = FanOutScenario(
+        (LinkInput(TwoPoint(0.2, 0.5, 0.3)), LinkInput(TwoPoint(0.5, 0.2, 0.4)), LinkInput(TRACE))
+    )
+    # the receiver's offset is random for W > 0, fixed at 0 for W = 0
+    receiver = TwoInputParams(t_s=0.010, tau_s=0.001, tau_a=0.002, t_min=0.0, t_max=1.0, w=twi.window)
+    trace = Empirical((0.001, 0.004, 0.012, 0.02))
+    chain = estimate_chain(GOLDEN_CHAIN, twi, 40_000, seed=5)
+    return {
+        "chain": chain.no_violation.p_hat,
+        "pairs": [e.p_hat for e in chain.pairwise],
+        "fanout": estimate_sim_violation(fanout, twi, 40_000, seed=5).p_hat,
+        # a sweep has a random offset for W > 0; one of W = 0 alone draws none
+        "sweep": [e.p_hat for e in estimate_no_violation_sweep(GOLDEN_CHAIN, [twi.window, 1.5], 40_000, seed=5)],
+        "sweep_w0": [e.p_hat for e in estimate_no_violation_sweep(GOLDEN_CHAIN, [0.0], 40_000, seed=5)],
+        "physical": estimate_cv_two_input(receiver, ShiftedExponential(0.002, 200.0), "physical", 40_000, 5).p_hat,
+        "digital": estimate_cv_two_input(receiver, trace, "digital", 40_000, 5).p_hat,
+    }
+
+
+@pytest.mark.parametrize("window", GOLDEN_WINDOWS)
+def test_estimates_equal_the_recorded_ones(window):
+    assert _golden_estimates(GOLDEN_WINDOWS[window]) == GOLDEN_P_HAT[window]
