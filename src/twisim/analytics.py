@@ -156,14 +156,22 @@ def _phase_averaged_ramp(a: float, period: float, w: float) -> float:
         # fraction of phi in [0, period) with a + phi > 0
         return min(1.0, max(0.0, (period + min(a, 0.0)) / period)) if a > -period else 0.0
 
-    def antiderivative(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x <= w:
-            return x * x / (2.0 * w)
-        return x - w / 2.0
-
-    return (antiderivative(a + period) - antiderivative(a)) / period
+    # the ramp's antiderivative, 0 below 0, x^2 / 2w up to w and x - w/2
+    # past it, at both ends; inline, since quadrature calls this per value
+    hi = a + period
+    if hi <= 0.0:
+        hi = 0.0
+    elif hi <= w:
+        hi = hi * hi / (2.0 * w)
+    else:
+        hi = hi - w / 2.0
+    if a <= 0.0:
+        lo = 0.0
+    elif a <= w:
+        lo = a * a / (2.0 * w)
+    else:
+        lo = a - w / 2.0
+    return (hi - lo) / period
 
 
 def expected_cv_two_input(
@@ -177,13 +185,14 @@ def expected_cv_two_input(
     physical cause: gap = (tau_s + phi + t_s) - (tau_a + T)
     digital  cause: gap = T - (tau_s + tau_a + phi + t_s)
     """
+    t_s, w = p.t_s, p.w  # locals: inner runs once per atom or quadrature node
     if cause == "physical":
         if p.tau_a < 0.0:
             raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
         base = p.tau_s + p.t_s - p.tau_a
 
         def inner(t: float) -> float:
-            return _phase_averaged_ramp(base - t, p.t_s, p.w)
+            return _phase_averaged_ramp(base - t, t_s, w)
 
     elif cause == "digital":
         base = p.tau_s + p.tau_a + p.t_s
@@ -191,7 +200,7 @@ def expected_cv_two_input(
         def inner(t: float) -> float:
             # gap = t - base - phi is decreasing in phi; average the ramp of
             # (t - base - phi) over phi in [0, t_s) by symmetry phi -> t_s - phi
-            return _phase_averaged_ramp(t - base - p.t_s, p.t_s, p.w)
+            return _phase_averaged_ramp(t - base - t_s, t_s, w)
 
     else:
         raise ParameterError(f"unknown cause direction: {cause!r}")

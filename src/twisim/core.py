@@ -192,13 +192,13 @@ class ShiftedExponential(_Model):
         from scipy import integrate  # imported here: it costs more than the rest of the CLI
 
         # integrate the excess over an effectively full tail
-        rate = self.rate
-        upper = self.shift + 50.0 / rate
+        shift, rate = self.shift, self.rate
+        upper = shift + 50.0 / rate
 
         def weighted(x: float) -> float:
-            return fn(x) * rate * math.exp(-rate * (x - self.shift))
+            return fn(x) * rate * math.exp(-rate * (x - shift))
 
-        val, _ = integrate.quad(weighted, self.shift, upper, limit=200)
+        val, _ = integrate.quad(weighted, shift, upper, limit=200)
         return val
 
     def mean(self) -> float:
@@ -264,7 +264,8 @@ class Empirical(_Model):
     """Replays a measured trace; sampling draws uniformly from the values.
 
     ``array`` holds the same values as a read-only float64 array; it backs
-    sampling, ``mean``, ``tail`` and ``laplace``, and is not compared.
+    sampling, ``mean``, ``tail``, ``laplace`` and ``clamped_ratio``, and is
+    not compared.
     """
 
     values: tuple[float, ...]
@@ -291,7 +292,8 @@ class Empirical(_Model):
         np.take(self.array, idx, out=out, mode="clip")  # "raise" would buffer; idx is in range
 
     def expect(self, fn: Callable[[float], float]) -> float:
-        return sum(fn(v) for v in self.values) / len(self.values)
+        # the built-in sum, in trace order: compensated from Python 3.12 on
+        return sum(map(fn, self.values)) / len(self.values)
 
     def mean(self) -> float:
         return float(np.mean(self.array))
@@ -301,6 +303,14 @@ class Empirical(_Model):
 
     def laplace(self, lam: float) -> float:
         return float(np.mean(np.exp(-lam * self.array)))
+
+    def clamped_ratio(self, w: float) -> float:
+        # the default's terms min(t / w, 1.0), summed like ``expect`` with the
+        # built-in sum, so the bits match on any Python; t / w may overflow
+        # to inf as it does in Python, where it is clamped to 1
+        with np.errstate(over="ignore"):
+            terms = np.minimum(self.array / w, 1.0)
+        return sum(terms.tolist()) / len(self.values)
 
 
 TransmissionTimeModel = Union[Constant, UniformRange, ShiftedExponential, TwoPoint, Empirical]

@@ -186,9 +186,15 @@ def _offset_fractions(rng: np.random.Generator, count: int, random_offset: bool)
 
 
 def _stamps(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
-    """Stamps of (trials, N) arrivals t; a random offset is u * W per trial."""
+    """Stamps of (trials, N) arrivals t; a random offset is u * W per trial.
+    A window so small that (t - offset) / W overflows is a ParameterError:
+    every stamp would be inf, and all inf stamps compare equal.  The overflow
+    raises because ``_map_chunks`` runs each chunk under ``over="raise"``."""
     offset = u[:, None] * twi.window if twi.random_offset else float(twi.offset)
-    return stamp_array(t, twi.window, offset)
+    try:
+        return stamp_array(t, twi.window, offset)
+    except FloatingPointError:
+        raise ParameterError(f"window {twi.window} is too small relative to the arrival times") from None
 
 
 def _ordered_pairs(
@@ -217,16 +223,24 @@ def _chunk_ranges(trials: int):
         yield c, min(CHUNK_SIZE, trials - start)
 
 
+def _raising_overflow(fn, c: int, count: int):
+    """fn(c, count) with float overflow raised, not warned about and stored
+    as inf.  NumPy's error state is per thread, so it is set per chunk."""
+    with np.errstate(over="raise"):
+        return fn(c, count)
+
+
 def _map_chunks(fn, trials: int, threads: int):
-    """fn(c, count) for each chunk of ``trials``, as a list in chunk order."""
+    """fn(c, count) for each chunk of ``trials``, as a list in chunk order.
+    A float overflow inside a chunk raises ``FloatingPointError``."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     chunks = list(_chunk_ranges(trials))
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(c, count) for c, count in chunks]
+        return [_raising_overflow(fn, c, count) for c, count in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, c, count) for c, count in chunks]
+        futures = [pool.submit(_raising_overflow, fn, c, count) for c, count in chunks]
         return [f.result() for f in futures]
 
 

@@ -15,7 +15,15 @@ from twisim.analytics import (
     p_sim_violation_n,
     twi_two_sensor_min_window,
 )
-from twisim.core import Constant, ParameterError, ShiftedExponential, UniformRange, chunk_rng
+from twisim.core import (
+    Constant,
+    Empirical,
+    ParameterError,
+    ShiftedExponential,
+    TwoPoint,
+    UniformRange,
+    chunk_rng,
+)
 
 times = st.floats(min_value=0.0, max_value=1e6)
 widths = st.floats(min_value=0.0, max_value=1e6)
@@ -167,10 +175,19 @@ def _mc_expected_cv(p, model, cause, trials=400_000, seed=12345):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
+GAMMA_TRACE = tuple(np.round(0.001 + chunk_rng(7, 0).gamma(2.0, 0.006, 300), 6).tolist())
+
+
 @pytest.mark.parametrize("cause", ["physical", "digital"])
 @pytest.mark.parametrize(
     "model",
-    [Constant(0.012), UniformRange(0.002, 0.030), ShiftedExponential(0.001, 80.0)],
+    [
+        Constant(0.012),
+        UniformRange(0.002, 0.030),
+        ShiftedExponential(0.001, 80.0),
+        TwoPoint(0.004, 0.021, 0.3),
+        Empirical(GAMMA_TRACE + (0.012, 0.012)),
+    ],
 )
 @pytest.mark.parametrize("w", [0.0, 0.004, 0.020])
 def test_expected_cv_matches_direct_average(cause, model, w):
@@ -213,3 +230,111 @@ def test_expected_cv_nonincreasing_in_window(w1, factor):
     assert expected_cv_two_input(p2, model, "digital") <= expected_cv_two_input(
         p1, model, "digital"
     ) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Byte identity of the oracle against its earlier, slower form
+# ---------------------------------------------------------------------------
+
+
+def _reference_ramp(a, period, w):
+    """_phase_averaged_ramp as it was written first: a nested antiderivative."""
+    if period <= 0.0:
+        raise ParameterError("period must be > 0")
+    if w == 0.0:
+        return min(1.0, max(0.0, (period + min(a, 0.0)) / period)) if a > -period else 0.0
+
+    def antiderivative(x):
+        if x <= 0.0:
+            return 0.0
+        if x <= w:
+            return x * x / (2.0 * w)
+        return x - w / 2.0
+
+    return (antiderivative(a + period) - antiderivative(a)) / period
+
+
+def _reference_expect(model, fn):
+    """model.expect(fn) as first written: a generator sum over a trace, and
+    the exponential's weight reading the model's attributes."""
+    if isinstance(model, Empirical):
+        return sum(fn(v) for v in model.values) / len(model.values)
+    if isinstance(model, ShiftedExponential):
+        from scipy import integrate
+
+        rate = model.rate
+        upper = model.shift + 50.0 / rate
+
+        def weighted(x):
+            return fn(x) * rate * math.exp(-rate * (x - model.shift))
+
+        return integrate.quad(weighted, model.shift, upper, limit=200)[0]
+    return model.expect(fn)
+
+
+def _reference_expected_cv(p, model, cause):
+    if cause == "physical":
+        base = p.tau_s + p.t_s - p.tau_a
+
+        def inner(t):
+            return _reference_ramp(base - t, p.t_s, p.w)
+
+    else:
+        base = p.tau_s + p.tau_a + p.t_s
+
+        def inner(t):
+            return _reference_ramp(t - base - p.t_s, p.t_s, p.w)
+
+    return min(1.0, _reference_expect(model, inner))
+
+
+sixty_fourths = st.integers(0, 64).map(lambda k: k / 64)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A receiver, a cause and a model of any kind.  With multiples of 1/64
+    the sums are exact, so the values listed as edges put a + period exactly
+    on 0 and on w; finite models take them as atoms, integers and repeats.
+    Arbitrary floats make the sums round, so that their order counts."""
+    duration = st.one_of(sixty_fourths, st.floats(0.0, 1.0))
+    t_s = draw(st.one_of(st.integers(1, 64).map(lambda k: k / 64), st.floats(1e-3, 1.0)))
+    tau_s, tau_a = draw(duration), draw(duration)
+    w = draw(st.one_of(st.just(0.0), st.integers(1, 64).map(lambda k: k / 64), st.floats(1e-6, 1.0)))
+    cause = draw(st.sampled_from(("physical", "digital")))
+    if cause == "physical":  # a + period = tau_s + 2 t_s - tau_a - t
+        on_zero = tau_s + t_s - tau_a + t_s
+    else:  # a + period = t - tau_s - tau_a - t_s
+        on_zero = tau_s + tau_a + t_s
+    on_w = on_zero - w if cause == "physical" else on_zero + w
+    edges = [max(on_zero, 0.0), max(on_w, 0.0)]  # durations: a negative edge is never reached
+    value = st.one_of(st.sampled_from(edges), st.integers(0, 3), st.floats(0.0, 3.0))
+    low = draw(value)
+    model = draw(
+        st.one_of(
+            st.builds(Constant, value),
+            st.builds(UniformRange, st.just(low), st.floats(0.0, 1.0).map(lambda d: low + d)),
+            st.builds(ShiftedExponential, value, st.floats(0.5, 100.0)),
+            st.builds(TwoPoint, value, value, st.floats(0.0, 1.0)),
+            st.lists(value, min_size=1, max_size=40).map(lambda vs: Empirical(tuple(vs + vs[:3]))),
+        )
+    )
+    return TwoInputParams(t_s, tau_s, tau_a, 0.0, math.inf, w), model, cause
+
+
+@given(case=oracle_cases())
+@settings(max_examples=300, deadline=None)
+def test_expected_cv_is_bit_identical_to_the_reference(case):
+    p, model, cause = case
+    assert repr(expected_cv_two_input(p, model, cause)) == repr(_reference_expected_cv(p, model, cause))
+
+
+def test_reference_cases_reach_the_ramp_edges():
+    # physical: a + period = base - t + t_s; these atoms land it on 0 and on w
+    p = TwoInputParams(0.25, 0.125, 0.0625, 0.0, math.inf, 0.5)
+    base = p.tau_s + p.t_s - p.tau_a
+    model = Empirical((base + p.t_s, base + p.t_s - p.w, 1, 1, 0))
+    assert (base - (base + p.t_s)) + p.t_s == 0.0
+    assert (base - (base + p.t_s - p.w)) + p.t_s == p.w
+    for cause in ("physical", "digital"):
+        assert repr(expected_cv_two_input(p, model, cause)) == repr(_reference_expected_cv(p, model, cause))

@@ -337,6 +337,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["simulate", write_cfg(tmp_path, {**CHAIN_CFG, name: bad})]) == 2
 
 
+def test_a_window_too_small_for_the_arrivals_exits_3(tmp_path, capsys):
+    links = [{"type": "link", "model": {"kind": "constant", "value": v}} for v in (2.0, 1.0)]
+    cfg = {
+        "kind": "fanout_sim",
+        "trials": 100,
+        "twi": {"window": 1e-310, "offset": 0.0},
+        "scenario": {"inputs": links},
+    }
+    assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error: window 1e-310 is too small" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _sensor_chain(sensor_id):
     sensor = {"type": "sensor", "t_s": 0.01, "sensor_id": sensor_id}
     link = CHAIN_CFG["scenario"]["inputs"][0]

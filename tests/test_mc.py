@@ -504,3 +504,35 @@ def _golden_estimates(twi):
 @pytest.mark.parametrize("window", GOLDEN_WINDOWS)
 def test_estimates_equal_the_recorded_ones(window):
     assert _golden_estimates(GOLDEN_WINDOWS[window]) == GOLDEN_P_HAT[window]
+
+
+TINY = TwiSpec(1e-310)  # 2.0 / 1e-310 overflows to inf
+PAIR = fixed_chain([2.0, 1.0], [0.0])
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda threads: estimate_chain(PAIR, TINY, 100, 1, threads),
+        lambda threads: estimate_chain(PAIR, TwiSpec(1e-310, None), 100, 1, threads),
+        lambda threads: estimate_no_violation_sweep(PAIR, [0.5, 1e-310], 100, 1, True, threads),
+        lambda threads: estimate_sim_violation(FanOutScenario(PAIR.inputs), TINY, 100, 1, threads),
+        lambda threads: estimate_cv_two_input(
+            TwoInputParams(1.0, 0.0, 0.0, 0.0, 2.0, 1e-310), Constant(2.0), "digital", 100, 1, threads
+        ),
+    ],
+    ids=["chain", "chain-random-offset", "crn-sweep", "fanout", "cv-two-input"],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_window_too_small_for_the_arrivals_is_a_parameter_error(monkeypatch, estimate, threads):
+    # every stamp would overflow to inf and compare equal; the scalar
+    # twi.stamp(2.0, 1e-310) raises the same way, also in a pool worker
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 64)  # two chunks
+    with pytest.raises(ParameterError, match="window 1e-310 is too small"):
+        estimate(threads)
+
+
+def test_arrivals_that_overflow_raise_rather_than_stamp_inf():
+    huge = FanOutScenario((LinkInput(ShiftedExponential(0.0, 1e-308)), LinkInput(Constant(1.0))))
+    with pytest.raises(FloatingPointError, match="overflow"):  # an ArithmeticError: the CLI exits 3
+        estimate_sim_violation(huge, TwiSpec(1.0), 100, 1)

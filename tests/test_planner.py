@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twisim.core import (
     ShiftedExponential,
     TwoPoint,
     UniformRange,
+    _Model,
     chunk_rng,
     sample,
 )
@@ -77,6 +79,23 @@ def test_p_miss_values_agree_when_t_below_w():
     for model in [Constant(0.003), UniformRange(0.001, 0.004), TwoPoint(0.004, 0.002, 0.5)]:
         report = p_miss_unknown_edge(model, 0.030)
         assert report.exact_value == pytest.approx(report.nominal_value)
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.integers(0, 10), st.floats(0.0, 1e6), st.floats(0.0, 1e308)), min_size=1, max_size=50
+    ),
+    repeats=st.integers(0, 3),
+    w=st.one_of(st.floats(1e-310, 1e6), st.sampled_from([1e-310, 1.0, 3.0])),
+)
+@settings(max_examples=300, deadline=None)
+def test_empirical_clamped_ratio_is_the_default_bit_for_bit(values, repeats, w):
+    model = Empirical(tuple(values + values[:repeats]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing t / w is clamped silently, as in Python
+        ratio = model.clamped_ratio(w)
+    assert type(ratio) is float
+    assert repr(ratio) == repr(_Model.clamped_ratio(model, w))
 
 
 @pytest.mark.parametrize("model", MODELS)
