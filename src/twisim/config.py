@@ -14,7 +14,7 @@ import json
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, Optional, Union
 
-from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel
+from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel, ensure_duration
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import CausalChainScenario, FanOutScenario, LinkInput
 from twisim.twi import TwiSpec
@@ -91,7 +91,10 @@ def _as_number(value: Any, path: str) -> float:
 def _as_numbers(value: Any, path: str) -> tuple[float, ...]:
     if not isinstance(value, list):
         _fail(path, f"expected a list of numbers, got {value!r}")
-    if set(map(type, value)) <= {int, float}:  # one pass over long traces
+    types = set(map(type, value))  # one pass over long traces
+    if types <= {float}:
+        return tuple(value)  # float(x) is x itself for a float
+    if types <= {int, float}:
         try:
             return tuple(map(float, value))
         except OverflowError:
@@ -234,6 +237,11 @@ def _as_schema_version(value: Any, path: str) -> int:
 
 def _as_sweep(value: Any, path: str) -> tuple[float, ...]:
     sweep = _as_numbers(value, path)
+    for w in sweep:
+        try:
+            ensure_duration(w, "width")
+        except ParameterError as exc:
+            _fail(path, str(exc))
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         _fail(path, "values must be strictly increasing")
     return sweep

@@ -312,7 +312,8 @@ def estimate_no_violation_sweep(
         for twi in twis:
             ok = _ordered_pairs(shifted if twi.window > 0.0 else raw, u, twi, False)
             violated = np.zeros(count, dtype=bool)
-            violated[rows[~ok[:, 0]]] = True
+            # an index gather: NumPy's boolean-mask gather is several times slower here
+            violated[rows[np.flatnonzero(~ok[:, 0])]] = True
             joint.append(count - np.count_nonzero(violated))
         return joint
 

@@ -337,6 +337,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["simulate", write_cfg(tmp_path, {**CHAIN_CFG, name: bad})]) == 2
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=["negative", "nan", "infinity"])
+def test_a_sweep_width_that_is_no_duration_exits_2(tmp_path, capsys, bad, first):
+    widths = [bad, 0.5, 1.0] if first else [0.0, 0.5, bad]
+    cfg_path = write_cfg(tmp_path, {**CHAIN_CFG, "w_sweep": widths})  # json writes NaN and Infinity
+    assert main(["sweep", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {cfg_path}.w_sweep: width must be finite and >= 0, got {bad!r}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_a_window_too_small_for_the_arrivals_exits_3(tmp_path, capsys):
     links = [{"type": "link", "model": {"kind": "constant", "value": v}} for v in (2.0, 1.0)]
     cfg = {
@@ -628,6 +639,19 @@ def test_cli_reproduce_needs_figure(tmp_path, capsys):
     out = tmp_path / "f7.csv"
     assert main(["reproduce", "--figure", "7", "--trials", "2000", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "N,exact,bound,mc_estimate,std_err"
+
+
+FIG8_SEED3_SHA256 = "58c0a26ccdc6cf8b0e9ba870e2e442cfd8a64570c4f940bee80003d95d00c607"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_figure_8_csv_is_byte_identical_to_the_recorded_one(tmp_path, threads):
+    # 65536 trials are two chunks.  The CSV bytes are the reproducibility
+    # contract: a faster sweep must write the same ones at every thread count
+    out = tmp_path / "f8.csv"
+    args = ["reproduce", "--figure", "8", "--trials", "65536", "--seed", "3", "--threads", threads]
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG8_SEED3_SHA256
 
 
 def test_cli_sweep(tmp_path):

@@ -371,6 +371,19 @@ def test_anchored_sweep_compares_raw_times_at_w0():
         assert e == estimate_chain(s, _random_offset_twi(w), 100, seed=1).no_violation
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_counts_violated_trials_not_pairs(threads):
+    # arrivals 3, 1, 3, 1: every trial has two inverted pairs, each of gap 2,
+    # so a trial counted once per violated pair would give a negative estimate
+    s = fixed_chain([3.0, 1.0, 3.0, 1.0], [0.0, 0.0, 0.0])
+    trials = 2 * mc.CHUNK_SIZE + 100  # three chunks
+    sweep = estimate_no_violation_sweep(s, [0.0, 0.5, 1.0, 4.0], trials, seed=9, threads=threads)
+    assert [e.p_hat for e in sweep[:3]] == [0.0, 0.0, 0.0]
+    dense = estimate_chain(s, _random_offset_twi(4.0), trials, seed=9, threads=threads).no_violation
+    assert sweep[3].p_hat == dense.p_hat
+    assert 0.45 < dense.p_hat < 0.55  # both pairs share a window with probability 1 - 2/4
+
+
 def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
     sizes = []
 
