@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
+import numpy as np
+
 from twisim.core import (
     Duration,
+    Empirical,
     ParameterError,
     TimePoint,
     TransmissionTimeModel,
@@ -174,6 +177,20 @@ def _phase_averaged_ramp(a: float, period: float, w: float) -> float:
     return (hi - lo) / period
 
 
+def _phase_averaged_ramps(a: np.ndarray, period: float, w: float) -> np.ndarray:
+    """_phase_averaged_ramp of each element of a, by the same IEEE operations
+    in the same order; period > 0."""
+    if w == 0.0:
+        step = np.minimum(1.0, np.maximum(0.0, (period + np.minimum(a, 0.0)) / period))
+        return np.where(a > -period, step, 0.0)
+
+    def antiderivative(x):
+        with np.errstate(over="ignore"):  # x * x of an x past w, which where() drops
+            return np.where(x <= 0.0, 0.0, np.where(x <= w, x * x / (2.0 * w), x - w / 2.0))
+
+    return (antiderivative(a + period) - antiderivative(a)) / period
+
+
 def expected_cv_two_input(
     p: TwoInputParams,
     model: TransmissionTimeModel,
@@ -186,23 +203,29 @@ def expected_cv_two_input(
     digital  cause: gap = T - (tau_s + tau_a + phi + t_s)
     """
     t_s, w = p.t_s, p.w  # locals: inner runs once per atom or quadrature node
+    # a trace's values go through the ramp as one array, in one call
+    ramp = _phase_averaged_ramps if isinstance(model, Empirical) else _phase_averaged_ramp
     if cause == "physical":
         if p.tau_a < 0.0:
             raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
         base = p.tau_s + p.t_s - p.tau_a
 
-        def inner(t: float) -> float:
-            return _phase_averaged_ramp(base - t, t_s, w)
+        def inner(t):
+            return ramp(base - t, t_s, w)
 
     elif cause == "digital":
         base = p.tau_s + p.tau_a + p.t_s
 
-        def inner(t: float) -> float:
+        def inner(t):
             # gap = t - base - phi is decreasing in phi; average the ramp of
             # (t - base - phi) over phi in [0, t_s) by symmetry phi -> t_s - phi
-            return _phase_averaged_ramp(t - base - t_s, t_s, w)
+            return ramp(t - base - t_s, t_s, w)
 
     else:
         raise ParameterError(f"unknown cause direction: {cause!r}")
+    if isinstance(model, Empirical):
+        expected = model.average(inner(model.array).tolist())
+    else:
+        expected = model.expect(inner)
     # the ramp's float sums can overshoot 1 by an ulp; a probability cannot
-    return min(1.0, model.expect(inner))
+    return min(1.0, expected)

@@ -297,6 +297,8 @@ def config_from_json(data: bytes, path: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     return replace(config_from_dict(obj, path), sha256=hashlib.sha256(data).hexdigest())
 
 

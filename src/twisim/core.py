@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, ClassVar, Iterable, Optional, Union
 
 import numpy as np
 
@@ -292,8 +292,14 @@ class Empirical(_Model):
         np.take(self.array, idx, out=out, mode="clip")  # "raise" would buffer; idx is in range
 
     def expect(self, fn: Callable[[float], float]) -> float:
-        # the built-in sum, in trace order: compensated from Python 3.12 on
-        return sum(map(fn, self.values)) / len(self.values)
+        return self.average(map(fn, self.values))
+
+    def average(self, terms: Iterable[float]) -> float:
+        """The mean of one term per value, in trace order, by the built-in sum
+        (compensated from Python 3.12 on) over Python floats: an array's terms
+        are passed as ``.tolist()``, so their bits match the scalar terms' on
+        any Python."""
+        return sum(terms) / len(self.values)
 
     def mean(self) -> float:
         return float(np.mean(self.array))
@@ -305,12 +311,11 @@ class Empirical(_Model):
         return float(np.mean(np.exp(-lam * self.array)))
 
     def clamped_ratio(self, w: float) -> float:
-        # the default's terms min(t / w, 1.0), summed like ``expect`` with the
-        # built-in sum, so the bits match on any Python; t / w may overflow
-        # to inf as it does in Python, where it is clamped to 1
+        # the default's terms min(t / w, 1.0); t / w may overflow to inf as
+        # it does in Python, where it is clamped to 1
         with np.errstate(over="ignore"):
             terms = np.minimum(self.array / w, 1.0)
-        return sum(terms.tolist()) / len(self.values)
+        return self.average(terms.tolist())
 
 
 TransmissionTimeModel = Union[Constant, UniformRange, ShiftedExponential, TwoPoint, Empirical]

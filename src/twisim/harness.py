@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -401,14 +402,25 @@ def _git_describe() -> str:
         return ""
 
 
+def _rewrite(path: str, text: str) -> None:
+    """Write text to path in UTF-8, over the file's old bytes, then cut the
+    file to length.  It is not truncated to zero first: ext4's auto_da_alloc
+    makes the close of a file truncated to zero allocate its blocks and start
+    writeback in this process.  Only a regular file is cut; a character
+    device or FIFO, as ``open(path, "w")`` allows, cannot be."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], wall_time: float) -> None:
     """Write the CSV (stdout when no path) and, for files, the manifest."""
     csv_text = rows_to_csv(header, rows)
     if out_path is None:
         sys.stdout.write(csv_text)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text)
+    _rewrite(out_path, csv_text)
     manifest = {
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
@@ -418,9 +430,7 @@ def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], 
         "wall_time_s": wall_time,
         "package_version": __version__,
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _rewrite(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def execute(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list[dict]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twisim.analytics import (
     TwoInputParams,
+    _phase_averaged_ramps,
     causality_conditions_digital_cause,
     causality_conditions_physical_cause,
     expected_cv_two_input,
@@ -327,6 +328,49 @@ def oracle_cases(draw):
 def test_expected_cv_is_bit_identical_to_the_reference(case):
     p, model, cause = case
     assert repr(expected_cv_two_input(p, model, cause)) == repr(_reference_expected_cv(p, model, cause))
+
+
+def _oracle_grid_trace(seed):
+    """2000 values built as the benchmark's oracle workload builds its trace:
+    a shift plus a seeded gamma draw, rounded to 6 digits."""
+    rng = np.random.default_rng([seed, 4])
+    trace = rng.uniform(0.0, 0.05) + rng.gamma(2.0, rng.uniform(0.01, 0.05), 2000)
+    return [round(v, 6) for v in trace.tolist()]
+
+
+@pytest.mark.parametrize("w", [0.0, 0.116, 0.0625])
+@pytest.mark.parametrize("cause", ["physical", "digital"])
+def test_expected_cv_of_a_long_trace_is_bit_identical_to_the_reference(cause, w):
+    # dyadic durations: edge atoms put a + period exactly on 0, and on w
+    # at the dyadic width; 0.116 is one of the benchmark's grid widths
+    p = TwoInputParams(0.0625, 0.015625, 0.03125, 0.0, math.inf, w)
+    if cause == "physical":
+        base = p.tau_s + p.t_s - p.tau_a
+        on_zero, on_w = base + p.t_s, base + p.t_s - w
+
+        def gap(t):  # the ramp's a
+            return base - t
+
+    else:
+        base = p.tau_s + p.tau_a + p.t_s
+        on_zero, on_w = base, base + w
+
+        def gap(t):
+            return t - base - p.t_s
+
+    values = _oracle_grid_trace(1)
+    values[::400] = [on_zero] * 5
+    assert gap(on_zero) + p.t_s == 0.0
+    if w == 0.0625:
+        values[1::400] = [on_w] * 5
+        assert gap(on_w) + p.t_s == w
+    model = Empirical(tuple(values))
+    value = expected_cv_two_input(p, model, cause)
+    assert 0.0 < value < 1.0
+    assert repr(value) == repr(_reference_expected_cv(p, model, cause))
+    # each term too: the average of 2000 hides an ulp in one of them
+    a = np.array([gap(t) for t in values])
+    assert _phase_averaged_ramps(a, p.t_s, w).tolist() == [_reference_ramp(x, p.t_s, w) for x in a]
 
 
 def test_reference_cases_reach_the_ramp_edges():

@@ -110,6 +110,24 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200_000 + "]" * 200_000,
+        '{"kind": "analytic", "params": {"op": "expected_cv_two_input", "model": '
+        + '{"a": ' * 200_000 + "1" + "}" * 200_000 + "}}",
+    ],
+    ids=["array", "params"],
+)
+def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["analytic", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}: invalid JSON: nested too deeply\n"
+    assert captured.out == ""
+
+
 def test_rows_to_csv_formatting():
     text = rows_to_csv(
         ("a", "b", "c", "d"),
@@ -277,6 +295,54 @@ def test_cli_simulate_writes_csv_and_manifest(tmp_path):
     assert manifest["trials"] == 2000
     assert len(manifest["config_sha256"]) == 64
     assert manifest["package_version"] == twisim.__version__
+
+
+ANALYTIC_CFG = {
+    "kind": "analytic",
+    "params": {"op": "expected_cv_two_input", "t_s": 0.1, "w": 0.05, "model": MODELS[-1]},
+}
+
+
+def _write(cfg, out):
+    header, rows = run_experiment(cfg)
+    harness.write_outputs(cfg, header, rows, str(out), 0.25)
+    return out.read_bytes(), Path(f"{out}.manifest.json").read_bytes()
+
+
+def test_outputs_overwrite_longer_files_without_a_stale_tail(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, ANALYTIC_CFG))
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    old = tmp_path / "old" / "out.csv"
+    old.write_bytes(b"x" * 10_000)
+    Path(f"{old}.manifest.json").write_bytes(b"y" * 10_000)
+    assert _write(cfg, old) == _write(cfg, tmp_path / "new" / "out.csv")
+
+
+def test_outputs_keep_a_symlink_and_the_file_mode(tmp_path):
+    cfg = write_cfg(tmp_path, ANALYTIC_CFG)
+    fresh = tmp_path / "fresh.csv"
+    assert main(["analytic", cfg, "--out", str(fresh)]) == 0
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"x" * 10_000)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert main(["analytic", cfg, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_outputs_write_to_a_device_and_refuse_a_directory(tmp_path, capsys):
+    harness._rewrite(os.devnull, "a,b\n1,2\n")  # open(path, "w") works on it; it cannot be cut
+    assert main(["analytic", write_cfg(tmp_path, ANALYTIC_CFG), "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_manifest_is_sorted_json_indented_by_two(tmp_path):
+    assert main(["analytic", write_cfg(tmp_path, ANALYTIC_CFG), "--out", str(tmp_path / "a.csv")]) == 0
+    text = (tmp_path / "a.csv.manifest.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_manifest_describes_the_package_tree_with_one_git_call(tmp_path, monkeypatch):
