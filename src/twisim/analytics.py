@@ -204,7 +204,8 @@ def expected_cv_two_input(
     """
     t_s, w = p.t_s, p.w  # locals: inner runs once per atom or quadrature node
     # a trace's values go through the ramp as one array, in one call
-    ramp = _phase_averaged_ramps if isinstance(model, Empirical) else _phase_averaged_ramp
+    vector = isinstance(model, Empirical)
+    ramp = _phase_averaged_ramps if vector else _phase_averaged_ramp
     if cause == "physical":
         if p.tau_a < 0.0:
             raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
@@ -223,9 +224,6 @@ def expected_cv_two_input(
 
     else:
         raise ParameterError(f"unknown cause direction: {cause!r}")
-    if isinstance(model, Empirical):
-        expected = model.average(inner(model.array).tolist())
-    else:
-        expected = model.expect(inner)
+    expected = model.average(inner(model.array).tolist()) if vector else model.expect(inner)
     # the ramp's float sums can overshoot 1 by an ulp; a probability cannot
     return min(1.0, expected)

@@ -406,8 +406,12 @@ def _rewrite(path: str, text: str) -> None:
     """Write text to path in UTF-8, over the file's old bytes, then cut the
     file to length.  It is not truncated to zero first: ext4's auto_da_alloc
     makes the close of a file truncated to zero allocate its blocks and start
-    writeback in this process.  Only a regular file is cut; a character
-    device or FIFO, as ``open(path, "w")`` allows, cannot be."""
+    writeback in this process.  That saves time only when path already names
+    a non-empty regular file; a new file costs what it did.  Only a regular
+    file is cut; a character device or FIFO, as ``open(path, "w")`` allows,
+    cannot be.  The price: if the process dies, or the flush fails, between
+    the write and the cut, a longer old file keeps its stale tail after the
+    new text, where a truncated-first file would hold only a prefix."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
