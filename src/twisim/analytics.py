@@ -121,11 +121,19 @@ def _check_t_ab(p: TwoInputParams, t_ab: float) -> float:
     return t_ab
 
 
+def _check_cause(p: TwoInputParams, cause: str) -> None:
+    """Reject an unknown cause direction, and a negative tau_a for the
+    physical one: a physical event cannot trigger a send before it occurs."""
+    if cause not in ("physical", "digital"):
+        raise ParameterError(f"unknown cause direction: {cause!r}")
+    if cause == "physical" and p.tau_a < 0.0:
+        raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
+
+
 def causality_conditions_physical_cause(p: TwoInputParams, t_ab: Duration) -> CausalityConditionReport:
     """Never/certain-violation conditions when a physical event triggers the
     digital transmission, plus the minimal mitigating window."""
-    if p.tau_a < 0.0:
-        raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
+    _check_cause(p, "physical")
     t_ab = _check_t_ab(p, t_ab)
     never = t_ab > 2.0 * p.t_s + p.tau_s - p.tau_a
     certain = p.w < p.t_s + p.tau_s - t_ab - p.tau_a
@@ -202,19 +210,18 @@ def expected_cv_two_input(
     physical cause: gap = (tau_s + phi + t_s) - (tau_a + T)
     digital  cause: gap = T - (tau_s + tau_a + phi + t_s)
     """
+    _check_cause(p, cause)
     t_s, w = p.t_s, p.w  # locals: inner runs once per atom or quadrature node
     # a trace's values go through the ramp as one array, in one call
     vector = isinstance(model, Empirical)
     ramp = _phase_averaged_ramps if vector else _phase_averaged_ramp
     if cause == "physical":
-        if p.tau_a < 0.0:
-            raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
         base = p.tau_s + p.t_s - p.tau_a
 
         def inner(t):
             return ramp(base - t, t_s, w)
 
-    elif cause == "digital":
+    else:
         base = p.tau_s + p.tau_a + p.t_s
 
         def inner(t):
@@ -222,8 +229,6 @@ def expected_cv_two_input(
             # (t - base - phi) over phi in [0, t_s) by symmetry phi -> t_s - phi
             return ramp(t - base - t_s, t_s, w)
 
-    else:
-        raise ParameterError(f"unknown cause direction: {cause!r}")
     expected = model.average(inner(model.array).tolist()) if vector else model.expect(inner)
     # the ramp's float sums can overshoot 1 by an ulp; a probability cannot
     return min(1.0, expected)

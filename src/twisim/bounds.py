@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from twisim.analytics import _ramp
-from twisim.core import (
-    Duration,
-    ParameterError,
-    TransmissionTimeModel,
-    ensure_duration,
-    chunk_rng,
-    sample,
-    validate_model,
-)
-from twisim.mc import _map_chunks
+from twisim.core import Duration, ParameterError, TransmissionTimeModel, chunk_rng, ensure_duration
+from twisim.mc import FanOutScenario, LinkInput, _chain_arrivals, _make_estimate, _map_chunks
 
 
 def _check_probs(pairwise: Sequence[float]) -> list[float]:
@@ -112,26 +104,20 @@ def verify_ordering_lemma(
     probability of t2 <= t3 for independent t1, t2, t3."""
     if len(models) != 3:
         raise ParameterError("need exactly three models")
-    for m in models:
-        validate_model(m)
+    three = FanOutScenario(tuple(LinkInput(m) for m in models))
 
     def work(c: int, count: int):
-        rng = chunk_rng(seed, c)
-        t1 = sample(models[0], rng, count)
-        t2 = sample(models[1], rng, count)
-        t3 = sample(models[2], rng, count)
-        cond = t1 <= t2
-        ok = t2 <= t3
+        t = _chain_arrivals(three, chunk_rng(seed, c), count)
+        cond = t[:, 0] <= t[:, 1]
+        ok = t[:, 1] <= t[:, 2]
         return int(cond.sum()), int((cond & ok).sum()), int(ok.sum())
 
     n_cond, n_cond_ok, n_ok = (sum(col) for col in zip(*_map_chunks(work, trials, 1)))
 
-    rhs = n_ok / trials
-    rhs_se = math.sqrt(max(rhs * (1.0 - rhs), 0.0) / trials)
+    rhs = _make_estimate(n_ok, trials, seed)
     if n_cond == 0:
-        return OrderingLemmaReport(math.nan, rhs, math.nan, rhs_se, 0, trials, False, False)
-    lhs = n_cond_ok / n_cond
-    lhs_se = math.sqrt(max(lhs * (1.0 - lhs), 0.0) / n_cond)
-    combined = math.hypot(lhs_se, rhs_se)
-    holds = lhs <= rhs + 4.0 * combined
-    return OrderingLemmaReport(lhs, rhs, lhs_se, rhs_se, n_cond, trials, holds, True)
+        return OrderingLemmaReport(math.nan, rhs.p_hat, math.nan, rhs.std_err, 0, trials, False, False)
+    lhs = _make_estimate(n_cond_ok, n_cond, seed)
+    combined = math.hypot(lhs.std_err, rhs.std_err)
+    holds = lhs.p_hat <= rhs.p_hat + 4.0 * combined
+    return OrderingLemmaReport(lhs.p_hat, rhs.p_hat, lhs.std_err, rhs.std_err, n_cond, trials, holds, True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, Optional, Union
 
@@ -30,6 +31,13 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
+# An error quotes what a field got, cut to a few elements and characters: a
+# trace or a string of any length gives a message of bounded length.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxdict, _SHORT.maxlist, _SHORT.maxstring = 2, 4, 4, 40
+_shown = _SHORT.repr
+
+
 # A field spec maps each field name to (reader, default).  reader(value, path)
 # checks a present JSON value and returns what the field holds; the default
 # is what an absent field holds, MISSING if the field is required.
@@ -40,7 +48,7 @@ Spec = dict[str, tuple[Reader, Any]]
 def _read_object(obj: Any, path: str, spec: Spec) -> dict[str, Any]:
     """The fields of the JSON object ``obj`` at ``path``, read by ``spec``."""
     if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
+        _fail(path, f"expected an object, got {_shown(obj)}")
     for key in obj:
         if key not in spec:
             _fail(f"{path}.{key}", "unknown field")
@@ -59,7 +67,7 @@ def _read_tagged(obj: Any, path: str, tag: str, specs: dict[str, Spec]) -> tuple
     """The required ``tag`` field of the JSON object ``obj``, which picks
     its spec from ``specs``, and the object's other fields read by it."""
     if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
+        _fail(path, f"expected an object, got {_shown(obj)}")
     if tag not in obj:
         _fail(f"{path}.{tag}", "missing required field")
     name = _as_choice(obj[tag], f"{path}.{tag}", tuple(specs))
@@ -81,7 +89,7 @@ def _as_object(cls: Callable, spec: Spec) -> Reader:
 
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -90,7 +98,7 @@ def _as_number(value: Any, path: str) -> float:
 
 def _as_numbers(value: Any, path: str) -> tuple[float, ...]:
     if not isinstance(value, list):
-        _fail(path, f"expected a list of numbers, got {value!r}")
+        _fail(path, f"expected a list of numbers, got {_shown(value)}")
     types = set(map(type, value))  # one pass over long traces
     if types <= {float}:
         return tuple(value)  # float(x) is x itself for a float
@@ -104,33 +112,37 @@ def _as_numbers(value: Any, path: str) -> tuple[float, ...]:
 
 def _as_choice(value: Any, path: str, choices: tuple) -> Any:
     if value not in choices:
-        _fail(path, f"expected one of {choices}, got {value!r}")
+        _fail(path, f"expected one of {choices}, got {_shown(value)}")
     return value
 
 
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
-        _fail(path, f"expected true or false, got {value!r}")
+        _fail(path, f"expected true or false, got {_shown(value)}")
     return value
 
 
 def _as_optional_str(value: Any, path: str) -> Optional[str]:
     if value is not None and not isinstance(value, str):
-        _fail(path, f"expected a string, got {value!r}")
+        _fail(path, f"expected a string, got {_shown(value)}")
     return value
 
 
 def _as_csv_field(value: Any, path: str) -> str:
     if not isinstance(value, str) or any(c in value for c in ',"\r\n'):
-        _fail(path, f"expected a string without commas, quotes or line breaks, got {value!r}")
+        _fail(path, f"expected a string without commas, quotes or line breaks, got {_shown(value)}")
+    try:
+        value.encode("utf-8")  # a lone surrogate is valid JSON and cannot be written
+    except UnicodeEncodeError:
+        _fail(path, f"expected a string encodable as UTF-8, got {_shown(value)}")
     return value
 
 
 def _as_int(value: Any, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
+        _fail(path, f"expected an integer, got {_shown(value)}")
     if value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
+        _fail(path, f"must be >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -231,7 +243,7 @@ class ExperimentConfig:
 
 def _as_schema_version(value: Any, path: str) -> int:
     if type(value) is not int or value != SCHEMA_VERSION:  # not true, not 1.0
-        _fail(path, f"unsupported version {value!r}")
+        _fail(path, f"unsupported version {_shown(value)}")
     return value
 
 
@@ -249,7 +261,7 @@ def _as_sweep(value: Any, path: str) -> tuple[float, ...]:
 
 def _as_params(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {value!r}")
+        _fail(path, f"expected an object, got {_shown(value)}")
     return value
 
 

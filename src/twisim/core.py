@@ -122,10 +122,12 @@ class UniformRange(_Model):
         return self.low, self.high
 
     def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        # the values of rng.uniform(low, high), which computes low + (high - low) * u
+        # the values of rng.uniform(low, high), which computes low + (high - low) * u;
+        # adding a zero low to draws >= +0 would change none of them
         rng.random(out=out)
         out *= self.high - self.low
-        out += self.low
+        if self.low:
+            out += self.low
 
     def expect(self, fn: Callable[[float], float]) -> float:
         if self.high == self.low:

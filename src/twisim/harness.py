@@ -21,9 +21,8 @@ from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
 from twisim import __version__, analytics, bounds, planner
-from twisim.config import ConfigError, ExperimentConfig, read_params
+from twisim.config import ConfigError, ExperimentConfig, _shown, read_params
 from twisim.core import Constant, ShiftedExponential, TwoPoint
-from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import (
     CausalChainScenario,
     FanOutScenario,
@@ -120,22 +119,14 @@ def _run_chain_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     return SIM_HEADER, [_estimate_row(cfg, e, "chain_no_violation", s.n, w) for w, e in pairs]
 
 
-def _deterministic_arrival(inp) -> Optional[float]:
-    if isinstance(inp, LinkInput) and isinstance(inp.model, Constant):
-        return inp.delay + inp.model.value
-    if isinstance(inp, SensorSpec) and inp.mode is SensorMode.ASYNCHRONOUS:
-        return inp.tau_s + inp.t_s
-    return None
-
-
 def _run_fanout_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     s = cfg.scenario
     assert isinstance(s, FanOutScenario)
     read_params(cfg.params, {})
     e = estimate_sim_violation(s, cfg.twi, cfg.trials, cfg.seed, cfg.threads)
-    arrivals = [_deterministic_arrival(inp) for inp in s.inputs]
     analytic = None
-    if cfg.twi.random_offset and all(a is not None for a in arrivals):
+    if cfg.twi.random_offset and all(isinstance(inp.model, Constant) for inp in s.inputs):
+        arrivals = [inp.delay + inp.model.value for inp in s.inputs]
         analytic = analytics.p_sim_violation_n(arrivals, cfg.twi.window)
     return SIM_HEADER, [_estimate_row(cfg, e, "fanout_sim_violation", s.n, cfg.twi.window, analytic)]
 
@@ -283,7 +274,7 @@ def _run_analytic(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     op = cfg.params.get("op")
     entry = ANALYTIC_OPS.get(op) if isinstance(op, str) else None
     if entry is None:
-        raise ConfigError(f"params.op: unknown analytic operation {op!r}")
+        raise ConfigError(f"params.op: unknown analytic operation {_shown(op)}")
     return NAME_VALUE_HEADER, _name_value_rows(cfg, op, [entry], {"op": MISSING})
 
 

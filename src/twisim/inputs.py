@@ -4,7 +4,8 @@ A sensor integrates for T_s before it reliably produces data; a physical
 event becomes detectable tau_s after it occurs.  Synchronous sensors run a
 periodic window grid of period T_s, so detection additionally waits a phase
 offset phi_s in [0, T_s).  Asynchronous sensors are event-triggered
-(phi_s = 0).
+(phi_s = 0).  Like a link, a sensor is a model plus a delay: its phase
+model, uniform on [0, T_s) or the constant 0, plus tau_s + T_s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from twisim.core import Duration, ParameterError, ensure_duration
+from twisim.core import Constant, Duration, ParameterError, UniformRange, ensure_duration, sample
 
 
 class SensorMode(enum.Enum):
@@ -25,7 +26,11 @@ class SensorMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Sensor with integration window t_s and detectability delay tau_s."""
+    """Sensor with integration window t_s and detectability delay tau_s.
+
+    ``model`` (the phase phi_s) and ``delay`` (tau_s + t_s) are derived, and
+    not compared: a detection time is a draw of ``model`` plus ``delay``.
+    """
 
     t_s: Duration
     tau_s: Duration = 0.0
@@ -36,6 +41,9 @@ class SensorSpec:
         if ensure_duration(self.t_s, "SensorSpec.t_s") == 0.0:
             raise ParameterError("SensorSpec.t_s must be > 0")
         ensure_duration(self.tau_s, "SensorSpec.tau_s")
+        asynchronous = self.mode is SensorMode.ASYNCHRONOUS
+        object.__setattr__(self, "model", Constant(0.0) if asynchronous else UniformRange(0.0, self.t_s))
+        object.__setattr__(self, "delay", self.tau_s + self.t_s)
 
 
 def sample_sensor_detection_time(
@@ -51,13 +59,6 @@ def sample_sensor_detection_time(
     A float for size=None, else ``size`` draws as an ndarray: ``out`` (a
     contiguous float64 array), written in place, if given, else a new one.
     """
-    draws = np.empty(1 if size is None else size) if out is None else out
-    base = spec.tau_s + spec.t_s
-    if spec.mode is SensorMode.ASYNCHRONOUS:
-        draws.fill(base)
-    else:
-        # the values of base + rng.uniform(0, t_s), which computes 0 + t_s * u
-        rng.random(out=draws)
-        draws *= spec.t_s
-        draws += base
+    draws = sample(spec.model, rng, 1 if size is None else size, out)
+    draws += spec.delay
     return float(draws[0]) if size is None else draws

@@ -22,13 +22,14 @@ from twisim.core import (
     ParameterError,
     RandomSeed,
     TransmissionTimeModel,
+    UniformRange,
     chunk_rng,
     ensure_duration,
     sample,
     validate_model,
 )
-from twisim.analytics import TwoInputParams
-from twisim.inputs import SensorSpec, sample_sensor_detection_time
+from twisim.analytics import TwoInputParams, _check_cause
+from twisim.inputs import SensorSpec
 from twisim.twi import TwiSpec, stamp_array
 
 CHUNK_SIZE = 1 << 15
@@ -160,20 +161,17 @@ def _chain_arrivals(
 ) -> np.ndarray:
     """(count, N) arrival times, input-major (Fortran order): each input's
     draws fill one contiguous column, so row-wise stamping and reductions
-    run as N vector operations.  Inputs are drawn in order, each straight
-    into its column, which then gets a link's delay and the event's
-    occurrence time added in place.  Adding 0.0 is skipped; draws are >= +0,
-    so it would change none of them.  A caller that needs offset fractions
-    draws them from ``rng`` next."""
+    run as N vector operations.  Inputs, links and sensors alike, are drawn
+    in order, each model straight into its column, which then gets the
+    input's delay and the event's occurrence time added in place.  Adding
+    0.0 is skipped; draws are >= +0, so it would change none of them.  A
+    caller that needs offset fractions draws them from ``rng`` next."""
     t = np.empty((count, s.n), order="F")
     for i, (inp, occurs) in enumerate(zip(s.inputs, s.occurrence_offsets())):
         col = t[:, i]
-        if isinstance(inp, SensorSpec):
-            sample_sensor_detection_time(inp, rng, count, col)
-        else:
-            sample(inp.model, rng, count, col)
-            if inp.delay:
-                col += inp.delay
+        sample(inp.model, rng, count, col)
+        if inp.delay:
+            col += inp.delay
         if occurs:
             col += occurs
     return t
@@ -354,11 +352,9 @@ def estimate_cv_two_input(
     """Monte-Carlo causality-violation probability for the two-input receiver
     over uniform phi_s, the link model, and a uniform window offset."""
     validate_model(model)
-    if cause not in ("physical", "digital"):
-        raise ParameterError(f"unknown cause direction: {cause!r}")
-    if cause == "physical" and p.tau_a < 0.0:
-        raise ParameterError("tau_a must be >= 0 for the physical-cause direction")
+    _check_cause(p, cause)
     twi = _random_offset_twi(p.w)
+    phase = UniformRange(0.0, p.t_s)
 
     def work(c: int, count: int):
         rng = chunk_rng(seed, c)
@@ -369,8 +365,7 @@ def estimate_cv_two_input(
         else:  # violation: sensing first
             t_sense, t_digital = t[:, 0], t[:, 1]
             delay = p.tau_s + p.tau_a  # t_sense = tau_s + tau_a + phi + t_s
-        rng.random(out=t_sense)  # phi = rng.uniform(0, t_s), which computes 0 + t_s * u
-        t_sense *= p.t_s
+        sample(phase, rng, count, t_sense)  # phi
         t_sense += delay
         t_sense += p.t_s
         sample(model, rng, count, t_digital)  # t_ab

@@ -16,6 +16,7 @@ from twisim.bounds import (
 )
 from twisim.core import (
     Constant,
+    Empirical,
     ParameterError,
     ShiftedExponential,
     TwoPoint,
@@ -184,3 +185,69 @@ def test_ordering_lemma_validation():
         verify_ordering_lemma([Constant(1.0)] * 2, 100, seed=1)
     with pytest.raises(ParameterError):
         verify_ordering_lemma([Constant(1.0)] * 3, 0, seed=1)
+
+
+# verify_ordering_lemma's reports, recorded before it drew through
+# mc._chain_arrivals: the same draws, counts and standard errors, bit for bit.
+LEMMA_CASES = {
+    "exponential": [ShiftedExponential(0.0, 1.0)] * 3,
+    "mixed": [UniformRange(0.0, 2.0), TwoPoint(2.0, 1.0, 0.5), Empirical((0.5, 1.25, 3.0))],
+    "never-conditioned": [Constant(2.0), Constant(1.0), Constant(3.0)],
+    "tied": [Constant(1.0), Constant(1.0), UniformRange(0.5, 1.5)],
+}
+LEMMA_REPRS = {
+    ("exponential", 1): (
+        "lhs=nan, rhs=1.0, lhs_std_err=nan, rhs_std_err=0.0, "
+        "conditioning_trials=0, trials=1, holds=False, conclusive=False"
+    ),
+    ("exponential", 100): (
+        "lhs=0.4107142857142857, rhs=0.54, lhs_std_err=0.06574138471863086, rhs_std_err=0.04983974317750845, "
+        "conditioning_trials=56, trials=100, holds=True, conclusive=True"
+    ),
+    ("exponential", 70_000): (
+        "lhs=0.3309377236936292, rhs=0.5007285714285714, lhs_std_err=0.002517898401769851, rhs_std_err=0.00188982035874794, "
+        "conditioning_trials=34925, trials=70000, holds=True, conclusive=True"
+    ),
+    ("mixed", 1): (
+        "lhs=0.0, rhs=0.0, lhs_std_err=0.0, rhs_std_err=0.0, "
+        "conditioning_trials=1, trials=1, holds=True, conclusive=True"
+    ),
+    ("mixed", 100): (
+        "lhs=0.4492753623188406, rhs=0.48, lhs_std_err=0.05988237396813556, rhs_std_err=0.049959983987187186, "
+        "conditioning_trials=69, trials=100, holds=True, conclusive=True"
+    ),
+    ("mixed", 70_000): (
+        "lhs=0.445266074328843, rhs=0.5028714285714285, lhs_std_err=0.002172481327774859, rhs_std_err=0.0018897912012327076, "
+        "conditioning_trials=52335, trials=70000, holds=True, conclusive=True"
+    ),
+    ("never-conditioned", 1): (
+        "lhs=nan, rhs=1.0, lhs_std_err=nan, rhs_std_err=0.0, "
+        "conditioning_trials=0, trials=1, holds=False, conclusive=False"
+    ),
+    ("never-conditioned", 100): (
+        "lhs=nan, rhs=1.0, lhs_std_err=nan, rhs_std_err=0.0, "
+        "conditioning_trials=0, trials=100, holds=False, conclusive=False"
+    ),
+    ("never-conditioned", 70_000): (
+        "lhs=nan, rhs=1.0, lhs_std_err=nan, rhs_std_err=0.0, "
+        "conditioning_trials=0, trials=70000, holds=False, conclusive=False"
+    ),
+    ("tied", 1): (
+        "lhs=0.0, rhs=0.0, lhs_std_err=0.0, rhs_std_err=0.0, "
+        "conditioning_trials=1, trials=1, holds=True, conclusive=True"
+    ),
+    ("tied", 100): (
+        "lhs=0.54, rhs=0.54, lhs_std_err=0.04983974317750845, rhs_std_err=0.04983974317750845, "
+        "conditioning_trials=100, trials=100, holds=True, conclusive=True"
+    ),
+    ("tied", 70_000): (
+        "lhs=0.5020285714285714, rhs=0.5020285714285714, lhs_std_err=0.0018898068113583884, rhs_std_err=0.0018898068113583884, "
+        "conditioning_trials=70000, trials=70000, holds=True, conclusive=True"
+    ),
+}
+
+
+@pytest.mark.parametrize("case, trials", list(LEMMA_REPRS), ids=[f"{c}-{n}" for c, n in LEMMA_REPRS])
+def test_ordering_lemma_report_is_pinned(case, trials):
+    report = verify_ordering_lemma(LEMMA_CASES[case], trials, seed=11)
+    assert repr(report) == f"OrderingLemmaReport({LEMMA_REPRS[case, trials]})"

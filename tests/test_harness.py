@@ -987,3 +987,48 @@ def test_readme_lists_every_config_field():
     }
     tables = _readme_field_tables()
     assert {name: tables.get(name) for name in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        pytest.param(
+            "analytic",
+            {"kind": "analytic", "params": {"op": "two_sensor_min_window", "t_s1": [0.1] * 100_000, "t_s2": 0.1}},
+            "params.t_s1",
+            id="number-list",
+        ),
+        pytest.param(
+            "analytic",
+            {"kind": "analytic", "params": {"op": "event_throughput_loss", "w": {"a": [0.25] * 50_000}, "t_0": 2.0}},
+            "params.w",
+            id="number-object",
+        ),
+        pytest.param(
+            "simulate", {**CHAIN_CFG, "scenario_id": list(range(100_000))}, "config.json.scenario_id", id="id-list"
+        ),
+        pytest.param(
+            "simulate", {**CHAIN_CFG, "scenario_id": "x" * 100_000 + ","}, "config.json.scenario_id", id="id-string"
+        ),
+        pytest.param("simulate", {**CHAIN_CFG, "seed": -(10**4000)}, "config.json.seed", id="seed-huge"),
+        pytest.param("analytic", {"kind": "analytic", "params": {"op": ["x"] * 100_000}}, "params.op", id="op-list"),
+    ],
+)
+def test_a_config_error_quotes_a_long_value_in_short(tmp_path, capsys, command, cfg, field):
+    assert main([command, write_cfg(tmp_path, cfg, "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{field}: " in err
+    assert len(err.encode()) < 300
+
+
+def test_a_scenario_id_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "loss.csv"
+    out.write_bytes(b"the previous run's rows\n")
+    params = {"op": "event_throughput_loss", "w": 1.0, "t_0": 2.0}
+    cfg = {"kind": "analytic", "scenario_id": "a\ud800b", "params": params}  # a lone surrogate
+    assert main(["analytic", write_cfg(tmp_path, cfg, "config.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "config.json.scenario_id: expected a string encodable as UTF-8" in err
+    assert out.read_bytes() == b"the previous run's rows\n"
