@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import reprlib
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, Optional, Union
 
-from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel, ensure_duration
+from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel, _shown, ensure_duration
 from twisim.inputs import SensorMode, SensorSpec
 from twisim.mc import CausalChainScenario, FanOutScenario, LinkInput
 from twisim.twi import TwiSpec
@@ -29,13 +28,6 @@ class ConfigError(ValueError):
 
 def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
-
-
-# An error quotes what a field got, cut to a few elements and characters: a
-# trace or a string of any length gives a message of bounded length.
-_SHORT = reprlib.Repr()
-_SHORT.maxlevel, _SHORT.maxdict, _SHORT.maxlist, _SHORT.maxstring = 2, 4, 4, 40
-_shown = _SHORT.repr
 
 
 # A field spec maps each field name to (reader, default).  reader(value, path)

@@ -10,6 +10,7 @@ tail, Laplace transform, expectations and sampling.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Optional, Union
 
@@ -22,6 +23,13 @@ RandomSeed = int
 
 class ParameterError(ValueError):
     """Raised when a model or scenario parameter violates its invariants."""
+
+
+# An error quotes what a field got, cut to a few elements and characters: a
+# trace or a string of any length gives a message of bounded length.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxdict, _SHORT.maxlist, _SHORT.maxstring = 2, 4, 4, 40
+_shown = _SHORT.repr
 
 
 def ensure_duration(value: float, name: str = "duration") -> float:

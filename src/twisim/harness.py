@@ -21,8 +21,8 @@ from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
 from twisim import __version__, analytics, bounds, planner
-from twisim.config import ConfigError, ExperimentConfig, _shown, read_params
-from twisim.core import Constant, ShiftedExponential, TwoPoint
+from twisim.config import ConfigError, ExperimentConfig, read_params
+from twisim.core import Constant, ShiftedExponential, TwoPoint, _shown
 from twisim.mc import (
     CausalChainScenario,
     FanOutScenario,
@@ -395,18 +395,26 @@ def _git_describe() -> str:
 
 def _rewrite(path: str, text: str) -> None:
     """Write text to path in UTF-8, over the file's old bytes, then cut the
-    file to length.  It is not truncated to zero first: ext4's auto_da_alloc
-    makes the close of a file truncated to zero allocate its blocks and start
-    writeback in this process.  That saves time only when path already names
-    a non-empty regular file; a new file costs what it did.  Only a regular
-    file is cut; a character device or FIFO, as ``open(path, "w")`` allows,
-    cannot be.  The price: if the process dies, or the flush fails, between
-    the write and the cut, a longer old file keeps its stale tail after the
-    new text, where a truncated-first file would hold only a prefix."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    file to length.  The bytes go out in one ``os.write`` (again on a short
+    write), with no text or buffer layer, and are encoded before the file is
+    opened: text that cannot be encoded creates or touches no file.  It is not
+    truncated to zero first: ext4's auto_da_alloc makes the close of a file
+    truncated to zero allocate its blocks and start writeback in this process.
+    Only a regular file is cut; a character device or FIFO, as
+    ``open(path, "w")`` allows, cannot be.  The price: if the process dies
+    between the writes and the cut, a longer old file keeps its stale tail
+    after the new text, where a truncated-first file would hold only a
+    prefix."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], wall_time: float) -> None:
@@ -425,7 +433,10 @@ def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], 
         "wall_time_s": wall_time,
         "package_version": __version__,
     }
-    _rewrite(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # json.dumps(manifest, indent=2, sort_keys=True) for a flat dict, but in
+    # the C encoder: indent runs json's pure-Python one
+    fields = json.dumps(manifest, sort_keys=True, separators=(",\n  ", ": "))
+    _rewrite(out_path + ".manifest.json", "{\n  " + fields[1:-1] + "\n}\n")
 
 
 def execute(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list[dict]:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from twisim.core import Constant, Duration, ParameterError, UniformRange, ensure_duration, sample
+from twisim.core import Constant, Duration, ParameterError, UniformRange, _shown, ensure_duration, sample
 
 
 class SensorMode(enum.Enum):
@@ -28,8 +28,10 @@ class SensorMode(enum.Enum):
 class SensorSpec:
     """Sensor with integration window t_s and detectability delay tau_s.
 
-    ``model`` (the phase phi_s) and ``delay`` (tau_s + t_s) are derived, and
-    not compared: a detection time is a draw of ``model`` plus ``delay``.
+    ``mode`` may be given as its value, such as ``"asynchronous"``, and is
+    stored as the enum.  ``model`` (the phase phi_s) and ``delay`` (tau_s +
+    t_s) are derived, and not compared: a detection time is a draw of
+    ``model`` plus ``delay``.
     """
 
     t_s: Duration
@@ -41,7 +43,13 @@ class SensorSpec:
         if ensure_duration(self.t_s, "SensorSpec.t_s") == 0.0:
             raise ParameterError("SensorSpec.t_s must be > 0")
         ensure_duration(self.tau_s, "SensorSpec.tau_s")
-        asynchronous = self.mode is SensorMode.ASYNCHRONOUS
+        try:
+            mode = SensorMode(self.mode)
+        except ValueError:
+            choices = " or ".join(repr(m.value) for m in SensorMode)
+            raise ParameterError(f"SensorSpec.mode must be {choices}, got {_shown(self.mode)}") from None
+        object.__setattr__(self, "mode", mode)
+        asynchronous = mode is SensorMode.ASYNCHRONOUS
         object.__setattr__(self, "model", Constant(0.0) if asynchronous else UniformRange(0.0, self.t_s))
         object.__setattr__(self, "delay", self.tau_s + self.t_s)
 

@@ -23,6 +23,7 @@ from twisim.core import (
     RandomSeed,
     TransmissionTimeModel,
     UniformRange,
+    _shown,
     chunk_rng,
     ensure_duration,
     sample,
@@ -58,12 +59,12 @@ def _check_inputs(inputs: Sequence[ScenarioInput]) -> None:
             if inp.sensor_id is not None:
                 if inp.sensor_id in seen_ids:
                     raise ParameterError(
-                        f"sensor id {inp.sensor_id!r} used by two inputs; chain inputs "
+                        f"sensor id {_shown(inp.sensor_id)} used by two inputs; chain inputs "
                         "must come from distinct sensors"
                     )
                 seen_ids.add(inp.sensor_id)
         elif not isinstance(inp, LinkInput):
-            raise ParameterError(f"unsupported scenario input: {inp!r}")
+            raise ParameterError(f"unsupported scenario input: {_shown(inp)}")
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@
 or whose counter fails on a changed signature.  This test runs the commands
 of both workloads, small, under the same probes, and checks that none is
 absent or broken and that every per-layer metric of ``BENCHMARK.json`` is
-computed.  It only reads ``perfbench/``.
+computed.  Every command must also load its config and write its outputs
+through the probed functions, once each, so that a path around them cannot
+read as a saving.  It only reads ``perfbench/``.
 """
 
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +78,18 @@ def _traced_pass(tmp_path, threads):
     finally:
         installed.restore()
     return installed, tracer
+
+
+def test_every_command_loads_and_writes_through_the_probed_functions(tmp_path):
+    for threads in (1, 2):
+        _, tracer = _traced_pass(tmp_path, threads)
+        runs = [f"t{threads}/{i}" for i in range(len(CONFIGS))]
+        for name in ("config.load", "harness.write"):
+            spans = Counter(s.run for s in tracer.spans if s.name == name)
+            assert spans == Counter(runs), name
+        outputs = list(tmp_path.glob(f"out-*-t{threads}.csv"))
+        assert len(outputs) == len(CONFIGS)
+        assert tracer.counts["harness.csv_bytes"] == sum(p.stat().st_size for p in outputs) > 0
 
 
 def test_every_probe_of_the_traced_run_finds_its_function(tmp_path):

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import subprocess
+import threading
 from dataclasses import MISSING, asdict
 from pathlib import Path
 
@@ -339,6 +340,61 @@ def test_outputs_write_to_a_device_and_refuse_a_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error: ")
 
 
+def test_outputs_written_a_few_bytes_at_a_time_are_whole(tmp_path, monkeypatch):
+    cfg = load_config(write_cfg(tmp_path, ANALYTIC_CFG))
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "short").mkdir()
+    whole = _write(cfg, tmp_path / "whole" / "out.csv")
+    short = tmp_path / "short" / "out.csv"
+    short.write_bytes(b"x" * 10_000)
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(min(len(data), 7))
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert _write(cfg, short) == whole
+    monkeypatch.undo()
+    assert sum(sizes) == sum(map(len, whole)) and max(sizes) == 7
+
+
+def test_outputs_to_a_fifo_reach_the_reader_whole(tmp_path):
+    cfg = write_cfg(tmp_path, ANALYTIC_CFG)
+    fresh = tmp_path / "fresh.csv"
+    assert main(["analytic", cfg, "--out", str(fresh)]) == 0
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["analytic", cfg, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [fresh.read_bytes()]
+
+
+@pytest.mark.parametrize(
+    "from_file, git, wall_time",
+    [
+        pytest.param(False, "v0-1-gabc", 0.25, id="config-sha256-null"),
+        pytest.param(True, 'v0-"1\\-\u00e9-dirty', 0.25, id="git-quote-backslash-non-ascii"),
+        pytest.param(True, "", 1e-05, id="wall-time-exponent"),
+    ],
+)
+def test_manifest_is_the_indented_json_of_its_fields(tmp_path, monkeypatch, from_file, git, wall_time):
+    monkeypatch.setattr(harness, "_git_describe", lambda: git)
+    cfg = load_config(write_cfg(tmp_path, ANALYTIC_CFG)) if from_file else config_from_dict(ANALYTIC_CFG)
+    out = tmp_path / "out.csv"
+    header, rows = run_experiment(cfg)
+    harness.write_outputs(cfg, header, rows, str(out), wall_time)
+    text = Path(f"{out}.manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert (manifest["config_sha256"] is None) != from_file
+    assert manifest["git_describe"] == git and manifest["wall_time_s"] == wall_time
+
+
 def test_manifest_is_sorted_json_indented_by_two(tmp_path):
     assert main(["analytic", write_cfg(tmp_path, ANALYTIC_CFG), "--out", str(tmp_path / "a.csv")]) == 0
     text = (tmp_path / "a.csv.manifest.json").read_text()
@@ -433,6 +489,21 @@ def _sensor_chain(sensor_id):
     sensor = {"type": "sensor", "t_s": 0.01, "sensor_id": sensor_id}
     link = CHAIN_CFG["scenario"]["inputs"][0]
     return {**CHAIN_CFG, "scenario": {**CHAIN_CFG["scenario"], "inputs": [sensor, link]}}
+
+
+def test_a_long_sensor_id_used_twice_exits_2_quoting_it_in_short(tmp_path, capsys):
+    sensor = {"type": "sensor", "t_s": 0.01, "sensor_id": "s" * 100_000}
+    cfg = {
+        "kind": "fanout_sim",
+        "trials": 100,
+        "twi": {"window": 0.25, "offset": "random"},
+        "scenario": {"inputs": [sensor, sensor]},
+    }
+    assert main(["simulate", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "used by two inputs" in err
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize(

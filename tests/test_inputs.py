@@ -17,6 +17,20 @@ def test_spec_validation():
         SensorSpec(t_s=0.010, tau_s=-1.0)
 
 
+def test_a_mode_string_builds_the_sensor_of_that_mode():
+    spec = SensorSpec(t_s=0.010, tau_s=0.007, mode="asynchronous")
+    assert spec.mode is SensorMode.ASYNCHRONOUS
+    assert spec == ASYNC and spec.model == ASYNC.model
+    assert SensorSpec(t_s=0.010, tau_s=0.007, mode="synchronous") == SYNC
+
+
+@pytest.mark.parametrize("mode", ["bogus", "SYNCHRONOUS", None, 1, ["asynchronous"] * 1000])
+def test_an_unknown_mode_is_a_parameter_error(mode):
+    with pytest.raises(ParameterError, match=r"^SensorSpec\.mode must be 'synchronous' or 'asynchronous', got ") as info:
+        SensorSpec(t_s=0.010, mode=mode)
+    assert len(str(info.value)) < 200
+
+
 def test_async_detection_time_is_deterministic():
     assert sample_sensor_detection_time(ASYNC, chunk_rng(0, 0)) == pytest.approx(0.017)
     arr = sample_sensor_detection_time(ASYNC, chunk_rng(0, 0), size=5)
