@@ -1,16 +1,17 @@
 """Command-line interface.
 
-Subcommands: analytic, simulate, sweep, bounds, plan, reproduce.  Each takes
-a JSON config file; --seed/--trials/--threads/--out override config fields.
-Exit codes: 0 success, 2 config error, 3 runtime error, 4 I/O error.
+Commands: analytic, simulate, sweep, bounds, plan, reproduce.  Each reads a
+JSON config file; --seed, --trials, --threads and --out override its fields.
+reproduce --figure 7 or 8 rebuilds a reference curve without a config file.
+Options may come before or after the config, as --name VALUE or --name=VALUE,
+and a long option may be cut to a unique prefix (--thr for --threads); --
+ends the options.  -h or --help prints this text.
+Exit codes: 0 success, 2 usage or config error, 3 runtime error, 4 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import functools
-import json
+import getopt
 import sys
 from typing import Optional, Sequence
 
@@ -32,63 +33,67 @@ _SUBCOMMAND_KINDS = {
     "plan": ("plan",),
     "reproduce": ("reproduce",),
 }
+_MINIMUM = {"seed": 0, "trials": 1, "threads": 1}  # the integer overrides and their least values
+_OPTIONS = ("out=", "figure=", "seed=", "trials=", "threads=")
+_USAGE = "usage: twisim COMMAND [CONFIG] [--seed N] [--trials N] [--threads N] [--out CSV] [--figure {7,8}]"
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="twisim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, kinds in _SUBCOMMAND_KINDS.items():
-        p = sub.add_parser(name, help=f"run a config of kind {' or '.join(kinds)}")
-        if name == "reproduce":
-            p.add_argument("config", nargs="?", help="JSON config file, or none with --figure")
-            p.add_argument("--figure", type=int, choices=(7, 8), help="reference curve to rebuild, without a config file")
-        else:
-            p.add_argument("config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--threads", type=int, help="override the worker thread count")
-        p.add_argument("--out", help="override the CSV output path")
-    return parser
-
-
-def _load(args) -> ExperimentConfig:
-    if args.command == "reproduce" and args.figure is not None:
-        if args.config is not None:
+def _load(argv: Sequence[str]) -> Optional[ExperimentConfig]:
+    """The checked config that ``argv`` names, with its overrides in place,
+    or None if it asks for help.  A usage error raises ``GetoptError``."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    if any(a == "-h" or a.startswith("--h") and "--help".startswith(a) for a in argv[:cut]):
+        return None
+    opts, args, rest = [], [], argv[:cut]
+    while rest:  # getopt stops at each non-option; gnu_getopt would stop for good under POSIXLY_CORRECT
+        found, rest = getopt.getopt(rest, "", _OPTIONS)
+        opts += found
+        args, rest = args + list(rest[:1]), rest[1:]
+    args += argv[cut + 1 :]
+    options = {opt[2:]: value for opt, value in opts}  # the last of a repeated option wins
+    command = args[0] if args else None
+    if command not in _SUBCOMMAND_KINDS:
+        raise getopt.GetoptError(f"expected a command, one of {', '.join(_SUBCOMMAND_KINDS)}")
+    if len(args) > 2 or (len(args) == 1 and command != "reproduce"):
+        raise getopt.GetoptError(f"{command} takes one config file, got {len(args) - 1}")
+    overrides = {"output": options.pop("out")} if "out" in options else {}
+    for name, text in options.items():
+        try:
+            overrides[name] = int(text)
+        except ValueError:
+            raise getopt.GetoptError(f"option --{name}: invalid int value: {text!r}") from None
+    figure = overrides.pop("figure", None)
+    if figure is not None and command != "reproduce":
+        raise getopt.GetoptError(f"option --figure: only reproduce takes it, not {command}")
+    for name, minimum in _MINIMUM.items():
+        if overrides.get(name, minimum) < minimum:
+            raise ConfigError(f"--{name} must be >= {minimum}, got {overrides[name]}")
+    if figure is not None:
+        if len(args) == 2:
             raise ConfigError("reproduce takes a config file or --figure, not both")
-        doc = {"kind": "reproduce", "params": {"figure": args.figure}}
-        cfg = config_from_json(json.dumps(doc, separators=(",", ":")).encode())
-    elif args.config is None:
+        cfg = config_from_json(b'{"kind":"reproduce","params":{"figure":%d}}' % figure, **overrides)
+    elif len(args) == 1:
         raise ConfigError("reproduce needs a config file or --figure")
     else:
-        cfg = load_config(args.config)
-    kinds = _SUBCOMMAND_KINDS[args.command]
+        cfg = load_config(args[1], **overrides)
+    kinds = _SUBCOMMAND_KINDS[command]
     if cfg.kind not in kinds:
-        raise ConfigError(
-            f"kind: subcommand {args.command!r} expects {' or '.join(kinds)}, got {cfg.kind!r}"
-        )
-    if args.command == "sweep" and not cfg.w_sweep:
+        raise ConfigError(f"kind: subcommand {command!r} expects {' or '.join(kinds)}, got {cfg.kind!r}")
+    if command == "sweep" and not cfg.w_sweep:
         raise ConfigError("w_sweep: sweep subcommand needs a nonempty w_sweep list")
-
-    overrides = {} if args.out is None else {"output": args.out}
-    for name, minimum in (("seed", 0), ("trials", 1), ("threads", 1)):
-        value = getattr(args, name)
-        if value is not None:
-            if value < minimum:
-                raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
-            overrides[name] = value
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        cfg = _load(sys.argv[1:] if argv is None else argv)
+        if cfg is None:
+            print(f"{_USAGE}\n\n{__doc__ or ''}", end="")
+            return EXIT_OK
         execute(cfg)
+    except getopt.GetoptError as exc:
+        print(f"{_USAGE}\ntwisim: error: {exc.msg}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

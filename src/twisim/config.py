@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, Optional, Union
 
 from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel, _shown, ensure_duration
@@ -284,13 +284,14 @@ _CONFIG_SPECS = {
 }
 
 
-def config_from_dict(obj: Any, path: str = "config") -> ExperimentConfig:
+def config_from_dict(obj: Any, path: str = "config", **overrides: Any) -> ExperimentConfig:
+    """Read a config; fields in ``overrides``, checked by the caller, replace what it reads."""
     kind, args = _read_tagged(obj, path, "kind", _CONFIG_SPECS)
     del args["schema_version"]  # checked; there is only one
-    return ExperimentConfig(kind=kind, **args)
+    return ExperimentConfig(kind=kind, **{**args, **overrides})
 
 
-def config_from_json(data: bytes, path: str = "config") -> ExperimentConfig:
+def config_from_json(data: bytes, path: str = "config", **overrides: Any) -> ExperimentConfig:
     """Parse and validate a config from its UTF-8 JSON bytes; ``path`` names
     it in errors.  The config's ``sha256`` is the SHA-256 of ``data``."""
     try:
@@ -303,14 +304,14 @@ def config_from_json(data: bytes, path: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
-    return replace(config_from_dict(obj, path), sha256=hashlib.sha256(data).hexdigest())
+    return config_from_dict(obj, path, sha256=hashlib.sha256(data).hexdigest(), **overrides)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a JSON config file."""
+def load_config(path: str, **overrides: Any) -> ExperimentConfig:
+    """Parse and validate a JSON config file; ``overrides`` replace fields."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    return config_from_json(data, path)
+    return config_from_json(data, path, **overrides)

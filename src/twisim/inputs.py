@@ -43,6 +43,8 @@ class SensorSpec:
         if ensure_duration(self.t_s, "SensorSpec.t_s") == 0.0:
             raise ParameterError("SensorSpec.t_s must be > 0")
         ensure_duration(self.tau_s, "SensorSpec.tau_s")
+        if self.sensor_id is not None and not isinstance(self.sensor_id, str):
+            raise ParameterError(f"SensorSpec.sensor_id must be a string or None, got {_shown(self.sensor_id)}")
         try:
             mode = SensorMode(self.mode)
         except ValueError:

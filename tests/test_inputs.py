@@ -5,6 +5,7 @@ import pytest
 
 from twisim.core import ParameterError, chunk_rng
 from twisim.inputs import SensorMode, SensorSpec, sample_sensor_detection_time
+from twisim.mc import FanOutScenario
 
 SYNC = SensorSpec(t_s=0.010, tau_s=0.007, mode=SensorMode.SYNCHRONOUS)
 ASYNC = SensorSpec(t_s=0.010, tau_s=0.007, mode=SensorMode.ASYNCHRONOUS)
@@ -46,3 +47,15 @@ def test_sync_detection_time_support_and_mean():
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - 0.022) <= 4.0 * se
 
+
+
+@pytest.mark.parametrize("sensor_id", [["a"], 5, b"s1", ["a"] * 1000], ids=["list", "int", "bytes", "long-list"])
+def test_a_sensor_id_that_is_no_string_is_a_parameter_error(sensor_id):
+    with pytest.raises(ParameterError, match=r"^SensorSpec\.sensor_id must be a string or None, got ") as info:
+        SensorSpec(t_s=0.010, sensor_id=sensor_id)
+    assert len(str(info.value)) < 200
+
+
+def test_a_fan_out_of_two_list_ids_is_a_parameter_error_not_a_type_error():
+    with pytest.raises(ParameterError, match="sensor_id"):
+        FanOutScenario((SensorSpec(0.01, sensor_id=["a"]), SensorSpec(0.01, sensor_id=["a"])))
