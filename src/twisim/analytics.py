@@ -101,7 +101,7 @@ class TwoInputParams:
         if not math.isfinite(float(self.tau_a)):
             raise ParameterError("tau_a must be finite")
         t_min = ensure_duration(self.t_min, "t_min")
-        if self.t_max < t_min:
+        if not self.t_max >= t_min:  # a NaN t_max too
             raise ParameterError("requires t_min <= t_max")
         ensure_duration(self.w, "w")
 

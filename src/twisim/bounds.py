@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from twisim.analytics import _ramp
-from twisim.core import Duration, ParameterError, TransmissionTimeModel, chunk_rng, ensure_duration
-from twisim.mc import FanOutScenario, LinkInput, _chain_arrivals, _make_estimate, _map_chunks
+from twisim.core import Duration, ParameterError, TransmissionTimeModel, ensure_duration
+from twisim.mc import CausalChainScenario, LinkInput, _make_estimate, chain_tallies
+from twisim.twi import TwiSpec
 
 
 def _check_probs(pairwise: Sequence[float]) -> list[float]:
@@ -104,15 +105,9 @@ def verify_ordering_lemma(
     probability of t2 <= t3 for independent t1, t2, t3."""
     if len(models) != 3:
         raise ParameterError("need exactly three models")
-    three = FanOutScenario(tuple(LinkInput(m) for m in models))
-
-    def work(c: int, count: int):
-        t = _chain_arrivals(three, chunk_rng(seed, c), count)
-        cond = t[:, 0] <= t[:, 1]
-        ok = t[:, 1] <= t[:, 2]
-        return int(cond.sum()), int((cond & ok).sum()), int(ok.sum())
-
-    n_cond, n_cond_ok, n_ok = (sum(col) for col in zip(*_map_chunks(work, trials, 1)))
+    # the raw-time chain t1 -> t2 -> t3: its pairs are t1 <= t2 and t2 <= t3
+    three = CausalChainScenario((0.0, 0.0), tuple(LinkInput(m) for m in models))
+    n_cond_ok, n_cond, n_ok = chain_tallies(three, TwiSpec(0.0), trials, seed)
 
     rhs = _make_estimate(n_ok, trials, seed)
     if n_cond == 0:

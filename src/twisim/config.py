@@ -291,16 +291,28 @@ def config_from_dict(obj: Any, path: str = "config", **overrides: Any) -> Experi
     return ExperimentConfig(kind=kind, **{**args, **overrides})
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The JSON object of ``pairs``; a key given twice is a ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()  # linear: a config's objects come from outside
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {_shown(key)}")
+            seen.add(key)
+    return obj
+
+
 def config_from_json(data: bytes, path: str = "config", **overrides: Any) -> ExperimentConfig:
     """Parse and validate a config from its UTF-8 JSON bytes; ``path`` names
     it in errors.  The config's ``sha256`` is the SHA-256 of ``data``."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+    except ValueError as exc:  # a duplicate key, or an integer literal beyond the interpreter's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc

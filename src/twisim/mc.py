@@ -2,9 +2,9 @@
 
 Scenarios are causal chains (event i causes event i+1 after a fixed action
 time) and fan-outs (one event perceived through N inputs).  Trials are
-chunked; every chunk derives its random stream from (seed, chunk_index), so
-estimates are bit-identical for any thread count and chunk results can be
-aggregated in any order.
+chunked; every chunk derives its random stream from (seed, chunk_index) and
+returns integer tallies, which ``_map_chunks`` sums in chunk order, so
+estimates are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from twisim.core import (
     ParameterError,
     RandomSeed,
     TransmissionTimeModel,
-    UniformRange,
     _shown,
     chunk_rng,
     ensure_duration,
@@ -229,18 +228,37 @@ def _raising_overflow(fn, c: int, count: int):
         return fn(c, count)
 
 
-def _map_chunks(fn, trials: int, threads: int):
-    """fn(c, count) for each chunk of ``trials``, as a list in chunk order.
-    A float overflow inside a chunk raises ``FloatingPointError``."""
+def _map_chunks(fn, trials: int, threads: int) -> list[int]:
+    """The elementwise sum, in chunk order, of the integer tallies
+    fn(c, count) returns as a list for each chunk of ``trials``.  A float
+    overflow inside a chunk raises ``FloatingPointError``."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     chunks = list(_chunk_ranges(trials))
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        return [_raising_overflow(fn, c, count) for c, count in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_raising_overflow, fn, c, count) for c, count in chunks]
-        return [f.result() for f in futures]
+        tallies = [_raising_overflow(fn, c, count) for c, count in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_raising_overflow, fn, c, count) for c, count in chunks]
+            tallies = [f.result() for f in futures]
+    return [int(sum(col)) for col in zip(*tallies)]
+
+
+def chain_tallies(
+    s: CausalChainScenario, twi: TwiSpec, trials: int, seed: RandomSeed, threads: int = 1
+) -> list[int]:
+    """[joint, pair_1, ..., pair_{N-1}]: the number of trials whose stamps
+    keep every adjacent pair in order, then the number that keep each pair."""
+
+    def work(c: int, count: int):
+        rng = chunk_rng(seed, c)
+        t = _chain_arrivals(s, rng, count)
+        u = _offset_fractions(rng, count, twi.random_offset)
+        ok = _ordered_pairs(t, u, twi, s.anchor_first_arrival)
+        return [np.count_nonzero(ok.all(axis=1)), *(np.count_nonzero(col) for col in ok.T)]
+
+    return _map_chunks(work, trials, threads)
 
 
 def estimate_chain(
@@ -252,20 +270,10 @@ def estimate_chain(
 ) -> ChainEstimate:
     """Joint no-violation probability and per-pair ordering probabilities,
     estimated on the same trials."""
-
-    def work(c: int, count: int):
-        rng = chunk_rng(seed, c)
-        t = _chain_arrivals(s, rng, count)
-        u = _offset_fractions(rng, count, twi.random_offset)
-        ok = _ordered_pairs(t, u, twi, s.anchor_first_arrival)
-        return np.count_nonzero(ok.all(axis=1)), [np.count_nonzero(col) for col in ok.T]
-
-    results = _map_chunks(work, trials, threads)
-    joint = sum(r[0] for r in results)
-    per_pair = np.sum([r[1] for r in results], axis=0)
+    joint, *pairs = chain_tallies(s, twi, trials, seed, threads)
     return ChainEstimate(
         no_violation=_make_estimate(joint, trials, seed),
-        pairwise=tuple(_make_estimate(k, trials, seed) for k in per_pair),
+        pairwise=tuple(_make_estimate(k, trials, seed) for k in pairs),
     )
 
 
@@ -316,9 +324,7 @@ def estimate_no_violation_sweep(
             joint.append(count - np.count_nonzero(violated))
         return joint
 
-    results = _map_chunks(work, trials, threads)
-    totals = np.sum(results, axis=0)
-    return [_make_estimate(k, trials, seed) for k in totals]
+    return [_make_estimate(k, trials, seed) for k in _map_chunks(work, trials, threads)]
 
 
 def estimate_sim_violation(
@@ -336,9 +342,9 @@ def estimate_sim_violation(
         t.min(axis=1, out=ends[:, 0])
         t.max(axis=1, out=ends[:, 1])
         stamps = _stamps(ends, _offset_fractions(rng, count, twi.random_offset), twi)
-        return np.count_nonzero(stamps[:, 0] != stamps[:, 1])
+        return [np.count_nonzero(stamps[:, 0] != stamps[:, 1])]
 
-    violations = sum(_map_chunks(work, trials, threads))
+    (violations,) = _map_chunks(work, trials, threads)
     return _make_estimate(violations, trials, seed)
 
 
@@ -351,29 +357,12 @@ def estimate_cv_two_input(
     threads: int = 1,
 ) -> ViolationEstimate:
     """Monte-Carlo causality-violation probability for the two-input receiver
-    over uniform phi_s, the link model, and a uniform window offset."""
-    validate_model(model)
+    over uniform phi_s, the link model, and a uniform window offset.  The
+    receiver is the two-event chain from cause to effect, and a violation is
+    its one pair stamped out of order.  A predictive sender's negative tau_a
+    delays the digital input instead of the sensed event."""
     _check_cause(p, cause)
-    twi = _random_offset_twi(p.w)
-    phase = UniformRange(0.0, p.t_s)
-
-    def work(c: int, count: int):
-        rng = chunk_rng(seed, c)
-        t = np.empty((count, 2), order="F")  # (early, late): a violation stamps early first
-        if cause == "physical":  # violation: digital first
-            t_digital, t_sense = t[:, 0], t[:, 1]
-            delay = p.tau_s  # t_sense = tau_s + phi + t_s
-        else:  # violation: sensing first
-            t_sense, t_digital = t[:, 0], t[:, 1]
-            delay = p.tau_s + p.tau_a  # t_sense = tau_s + tau_a + phi + t_s
-        sample(phase, rng, count, t_sense)  # phi
-        t_sense += delay
-        t_sense += p.t_s
-        sample(model, rng, count, t_digital)  # t_ab
-        if cause == "physical":
-            t_digital += p.tau_a
-        stamps = _stamps(t, _offset_fractions(rng, count, twi.random_offset), twi)
-        return np.count_nonzero(stamps[:, 0] < stamps[:, 1])
-
-    violations = sum(_map_chunks(work, trials, threads))
-    return _make_estimate(violations, trials, seed)
+    sensor, link = SensorSpec(p.t_s, p.tau_s), LinkInput(model, max(0.0, -p.tau_a))
+    chain = CausalChainScenario((max(0.0, p.tau_a),), (sensor, link) if cause == "physical" else (link, sensor))
+    joint, _ = chain_tallies(chain, _random_offset_twi(p.w), trials, seed, threads)
+    return _make_estimate(trials - joint, trials, seed)

@@ -93,6 +93,8 @@ def test_params_validation():
         params(t_min=0.006)
     with pytest.raises(ParameterError):
         params(tau_a=math.inf)
+    with pytest.raises(ParameterError, match="t_max"):
+        params(t_max=math.nan)
     # negative action time is legal (predictive sender, digital cause)
     params(tau_a=-0.001)
 

@@ -129,6 +129,30 @@ def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"kind": "analytic", "params": {"op": "event_throughput_loss", "w": 1.0, "w": 3.0, "t_0": 1.0}}', "w"),
+        ('{"kind": "analytic", "kind": "plan", "params": {"slot": 0.5}}', "kind"),
+    ],
+    ids=["params-w", "kind"],
+)
+def test_a_key_given_twice_in_one_object_exits_2(tmp_path, capsys, text, key):
+    # json.loads would keep the last value and run the plan, or W = 3
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert main(["analytic", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}: invalid JSON: duplicate key {key!r}\n"
+    assert captured.out == ""
+
+
+def test_a_nan_t_max_is_named_not_blamed_on_t_ab(tmp_path, capsys):
+    params = {"op": "conditions_digital_cause", "t_s": 0.01, "t_ab": 0.005, "t_max": math.nan}  # written as NaN
+    assert main(["analytic", write_cfg(tmp_path, {"kind": "analytic", "params": params})]) == 3
+    assert capsys.readouterr().err == "runtime error: requires t_min <= t_max\n"
+
+
 def test_rows_to_csv_formatting():
     text = rows_to_csv(
         ("a", "b", "c", "d"),
@@ -211,6 +235,35 @@ def test_run_experiment_bounds_check_columns():
     assert rows[0]["product_bound"] is None
     assert rows[0]["holder_bound"] is not None
     assert rows[0]["max_pairwise"] is not None
+
+
+# Constant arrivals 1, 0, 3, 2 and zero action times: the first and last
+# pairs are each inverted by 1.  Under one shared window of W = 2 with a
+# random offset, each is stamped in order with probability 1/2, and on the
+# same offsets, since their gaps coincide mod W.  So the joint value, 1/2,
+# exceeds the product of the pairwise ones, 1/4: the product bound does not
+# hold under a shared window, and `bounds` does not report it there.
+SHARED_WINDOW_CHAIN = {
+    "kind": "bounds_check",
+    "trials": 20_000,
+    "twi": {"window": 2.0, "offset": "random"},
+    "scenario": {
+        "action_times": [0.0, 0.0, 0.0],
+        "inputs": [{"type": "link", "model": {"kind": "constant", "value": v}} for v in (1.0, 0.0, 3.0, 2.0)],
+    },
+}
+
+
+def test_bounds_withholds_the_product_bound_that_a_shared_window_breaks(tmp_path):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", write_cfg(tmp_path, SHARED_WINDOW_CHAIN), "--out", str(out)]) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["product_bound"] == ""
+    pairwise = [float(p) for p in row["pairwise"].split(";")]
+    assert pairwise[1] == 1.0
+    assert float(row["joint_estimate"]) == pytest.approx(0.5, abs=0.02)
+    assert math.prod(pairwise) == pytest.approx(0.25, abs=0.02)
 
 
 def test_fanout_reports_analytic_reference():
@@ -296,6 +349,41 @@ def test_cli_simulate_writes_csv_and_manifest(tmp_path):
     assert manifest["trials"] == 2000
     assert len(manifest["config_sha256"]) == 64
     assert manifest["package_version"] == twisim.__version__
+
+
+def _receiver_chain_cfg(cause, tau_a, w, trials):
+    """The chain_sim config of the two-input receiver: the cause's input
+    first, the action time between them; a negative tau_a delays the link."""
+    sensor = {"type": "sensor", "t_s": 0.010, "tau_s": 0.001}
+    link = {"type": "link", "model": {"kind": "uniform", "low": 0.002, "high": 0.030}, "delay": max(0.0, -tau_a)}
+    return {
+        "kind": "chain_sim",
+        "seed": 4,
+        "trials": trials,
+        "twi": {"window": w, "offset": "random" if w > 0 else 0.0},
+        "scenario": {
+            "action_times": [max(0.0, tau_a)],
+            "inputs": [sensor, link] if cause == "physical" else [link, sensor],
+        },
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("w", [0.0, 0.006])
+@pytest.mark.parametrize("cause, tau_a", [("physical", 0.002), ("digital", 0.002), ("digital", -0.004)])
+def test_a_chain_sim_of_the_receiver_estimates_one_minus_its_violation_probability(tmp_path, cause, tau_a, w, threads):
+    trials = 70_000  # three chunks
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, _receiver_chain_cfg(cause, tau_a, w, trials))
+    assert main(["simulate", cfg, "--threads", str(threads), "--out", str(out)]) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    receiver = analytics.TwoInputParams(t_s=0.010, tau_s=0.001, tau_a=tau_a, t_min=0.0, t_max=1.0, w=w)
+    e = mc.estimate_cv_two_input(receiver, UniformRange(0.002, 0.030), cause, trials, 4, threads)
+    assert int(row["trials"]) == e.trials == trials
+    assert 0 < e.p_hat < 1
+    # estimate = 1 - p_hat, compared as counts of trials
+    assert round(float(row["estimate"]) * trials) == trials - round(e.p_hat * trials)
 
 
 ANALYTIC_CFG = {

@@ -452,7 +452,9 @@ def test_fanout_stamped_at_its_extremes_counts_as_stamped_densely(inputs, twi, t
 
 # Estimates at 40000 trials (a full chunk and a partial one), recorded before
 # the offset fractions were drawn only where a window reads them; they are
-# each chunk's last draws, so no estimate may move.
+# each chunk's last draws, so no estimate may move.  The "digital" entries
+# were re-recorded when the two-input receiver became a two-event chain: its
+# digital cause draws the link before the sensor's phase.
 GOLDEN_CHAIN = CausalChainScenario(
     action_times=(0.3, 0.0, 0.2),
     inputs=(
@@ -471,7 +473,7 @@ GOLDEN_P_HAT = {
         "sweep": [0.12495, 0.6331],
         "sweep_w0": [0.12495],
         "physical": 0.891875,
-        "digital": 0.1737,
+        "digital": 0.174725,
     },
     "fixed": {
         "chain": 0.36775,
@@ -480,7 +482,7 @@ GOLDEN_P_HAT = {
         "sweep": [0.3193, 0.6331],
         "sweep_w0": [0.12495],
         "physical": 0.011075,
-        "digital": 0.00085,
+        "digital": 0.0007,
     },
     "random": {
         "chain": 0.3193,
@@ -489,18 +491,24 @@ GOLDEN_P_HAT = {
         "sweep": [0.3193, 0.6331],
         "sweep_w0": [0.12495],
         "physical": 0.011075,
-        "digital": 0.00085,
+        "digital": 0.0007,
     },
 }
+
+
+GOLDEN_LINKS = {"physical": ShiftedExponential(0.002, 200.0), "digital": Empirical((0.001, 0.004, 0.012, 0.02))}
+
+
+def _golden_receiver(w):
+    # the receiver's offset is random for W > 0, fixed at 0 for W = 0
+    return TwoInputParams(t_s=0.010, tau_s=0.001, tau_a=0.002, t_min=0.0, t_max=1.0, w=w)
 
 
 def _golden_estimates(twi):
     fanout = FanOutScenario(
         (LinkInput(TwoPoint(0.2, 0.5, 0.3)), LinkInput(TwoPoint(0.5, 0.2, 0.4)), LinkInput(TRACE))
     )
-    # the receiver's offset is random for W > 0, fixed at 0 for W = 0
-    receiver = TwoInputParams(t_s=0.010, tau_s=0.001, tau_a=0.002, t_min=0.0, t_max=1.0, w=twi.window)
-    trace = Empirical((0.001, 0.004, 0.012, 0.02))
+    receiver = _golden_receiver(twi.window)
     chain = estimate_chain(GOLDEN_CHAIN, twi, 40_000, seed=5)
     return {
         "chain": chain.no_violation.p_hat,
@@ -509,14 +517,24 @@ def _golden_estimates(twi):
         # a sweep has a random offset for W > 0; one of W = 0 alone draws none
         "sweep": [e.p_hat for e in estimate_no_violation_sweep(GOLDEN_CHAIN, [twi.window, 1.5], 40_000, seed=5)],
         "sweep_w0": [e.p_hat for e in estimate_no_violation_sweep(GOLDEN_CHAIN, [0.0], 40_000, seed=5)],
-        "physical": estimate_cv_two_input(receiver, ShiftedExponential(0.002, 200.0), "physical", 40_000, 5).p_hat,
-        "digital": estimate_cv_two_input(receiver, trace, "digital", 40_000, 5).p_hat,
+        **{
+            cause: estimate_cv_two_input(receiver, model, cause, 40_000, 5).p_hat
+            for cause, model in GOLDEN_LINKS.items()
+        },
     }
 
 
 @pytest.mark.parametrize("window", GOLDEN_WINDOWS)
 def test_estimates_equal_the_recorded_ones(window):
     assert _golden_estimates(GOLDEN_WINDOWS[window]) == GOLDEN_P_HAT[window]
+
+
+@pytest.mark.parametrize("cause", GOLDEN_LINKS)
+@pytest.mark.parametrize("window", GOLDEN_WINDOWS)
+def test_recorded_receiver_estimates_lie_near_the_oracle(window, cause):
+    recorded = GOLDEN_P_HAT[window][cause]
+    exact = expected_cv_two_input(_golden_receiver(GOLDEN_WINDOWS[window].window), GOLDEN_LINKS[cause], cause)
+    assert abs(recorded - exact) <= 4.0 * math.sqrt(recorded * (1.0 - recorded) / 40_000)
 
 
 TINY = TwiSpec(1e-310)  # 2.0 / 1e-310 overflows to inf
