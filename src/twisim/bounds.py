@@ -15,7 +15,8 @@ from typing import Sequence
 
 from twisim.analytics import _ramp
 from twisim.core import Duration, ParameterError, TransmissionTimeModel, ensure_duration
-from twisim.mc import CausalChainScenario, LinkInput, _make_estimate, chain_tallies
+from twisim.inputs import ScenarioInput
+from twisim.mc import CausalChainScenario, _make_estimate, chain_tallies
 from twisim.twi import TwiSpec
 
 
@@ -106,7 +107,7 @@ def verify_ordering_lemma(
     if len(models) != 3:
         raise ParameterError("need exactly three models")
     # the raw-time chain t1 -> t2 -> t3: its pairs are t1 <= t2 and t2 <= t3
-    three = CausalChainScenario((0.0, 0.0), tuple(LinkInput(m) for m in models))
+    three = CausalChainScenario((0.0, 0.0), tuple(ScenarioInput(m) for m in models))
     n_cond_ok, n_cond, n_ok = chain_tallies(three, TwiSpec(0.0), trials, seed)
 
     rhs = _make_estimate(n_ok, trials, seed)

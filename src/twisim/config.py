@@ -15,8 +15,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, Optional, Union
 
 from twisim.core import MODEL_KINDS, ParameterError, TransmissionTimeModel, _shown, ensure_duration
-from twisim.inputs import SensorMode, SensorSpec
-from twisim.mc import CausalChainScenario, FanOutScenario, LinkInput
+from twisim.inputs import SENSOR_MODES, ScenarioInput, sensor
+from twisim.mc import CausalChainScenario, FanOutScenario
 from twisim.twi import TwiSpec
 
 SCHEMA_VERSION = 1
@@ -155,21 +155,19 @@ def model_from_dict(obj: Any, path: str = "model") -> TransmissionTimeModel:
     return _build(MODEL_KINDS[kind], args, path)
 
 
-_SENSOR_MODES = tuple(m.value for m in SensorMode)
-
 _INPUT_SPECS = {
     "link": {"model": (model_from_dict, MISSING), "delay": (_as_number, 0.0)},
     "sensor": {
         "t_s": (_as_number, MISSING),
         "tau_s": (_as_number, 0.0),
-        "mode": (lambda value, path: SensorMode(_as_choice(value, path, _SENSOR_MODES)), SensorMode.SYNCHRONOUS),
+        "mode": (lambda value, path: _as_choice(value, path, SENSOR_MODES), "synchronous"),
         "sensor_id": (_as_optional_str, None),
     },
 }
-_INPUT_TYPES = {"link": LinkInput, "sensor": SensorSpec}
+_INPUT_TYPES = {"link": ScenarioInput, "sensor": sensor}
 
 
-def _input_from_dict(obj: Any, path: str) -> Union[LinkInput, SensorSpec]:
+def _input_from_dict(obj: Any, path: str) -> ScenarioInput:
     kind, args = _read_tagged(obj, path, "type", _INPUT_SPECS)
     return _build(_INPUT_TYPES[kind], args, path)
 
@@ -210,7 +208,6 @@ def read_params(params: dict, spec: dict[str, Any]) -> dict[str, Any]:
     return _read_object(
         params, "params", {name: (_PARAM_READERS.get(name, _as_number), d) for name, d in spec.items()}
     )
-
 
 
 @dataclass(frozen=True)
@@ -303,11 +300,18 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+# json.loads with a hook builds a decoder per call; this one is shared.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def config_from_json(data: bytes, path: str = "config", **overrides: Any) -> ExperimentConfig:
     """Parse and validate a config from its UTF-8 JSON bytes; ``path`` names
     it in errors.  The config's ``sha256`` is the SHA-256 of ``data``."""
     try:
-        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        text = data.decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads's check, which the decoder lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

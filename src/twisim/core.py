@@ -53,7 +53,7 @@ class _Model:
     finitely supported models; continuous models override them with closed
     forms.  Each model draws through one routine, ``sample_into``, which
     takes a fixed count of values from the stream per draw, so that streams
-    replay bit-identically; ``sample`` wraps it.
+    replay bit-identically; ``core.sample`` wraps it.
     """
 
     kind: ClassVar[str]  # the model's name in configs
@@ -66,13 +66,6 @@ class _Model:
         """Write ``len(out)`` draws into the contiguous float64 array ``out``,
         say a column of a Fortran-order matrix, and no other memory."""
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None, out: Optional[np.ndarray] = None):
-        """A float for size=None, else ``size`` draws as an ndarray: ``out``,
-        written in place, if given, else a new one."""
-        draws = np.empty(1 if size is None else size) if out is None else out
-        self.sample_into(rng, draws)
-        return float(draws[0]) if size is None else draws
 
     def expect(self, fn: Callable[[float], float]) -> float:
         """E[fn(T)], by atom sums or adaptive quadrature."""
@@ -351,9 +344,12 @@ def sample(
     size: Optional[int] = None,
     out: Optional[np.ndarray] = None,
 ):
-    """``model.sample(rng, size, out)``; the Monte-Carlo estimators draw
-    through here, into ``out``."""
-    return model.sample(rng, size, out)
+    """A float for size=None, else ``size`` draws as an ndarray: ``out``,
+    written in place, if given, else a new one.  The Monte-Carlo estimators
+    draw through here, into ``out``."""
+    draws = np.empty(1 if size is None else size) if out is None else out
+    model.sample_into(rng, draws)
+    return float(draws[0]) if size is None else draws
 
 
 # ---------------------------------------------------------------------------

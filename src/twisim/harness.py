@@ -23,10 +23,10 @@ from typing import Optional, Sequence
 from twisim import __version__, analytics, bounds, planner
 from twisim.config import ConfigError, ExperimentConfig, read_params
 from twisim.core import Constant, ShiftedExponential, TwoPoint, _shown
+from twisim.inputs import ScenarioInput
 from twisim.mc import (
     CausalChainScenario,
     FanOutScenario,
-    LinkInput,
     ViolationEstimate,
     derived_seed,
     estimate_chain,
@@ -48,10 +48,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def rows_to_csv(header: Sequence[str], rows: Sequence[dict]) -> str:
+def rows_to_csv(rows: Sequence[dict]) -> str:
+    """CSV text of rows that have the same keys in the same order; the first
+    row's keys are the header."""
+    header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
+        lines.append(",".join(_fmt(row[col]) for col in header))
     return "\n".join(lines) + "\n"
 
 
@@ -88,23 +91,7 @@ def _estimate_row(
     }
 
 
-SIM_HEADER = (
-    "scenario_id",
-    "kind",
-    "n",
-    "w",
-    "trials",
-    "estimate",
-    "std_err",
-    "ci_lo",
-    "ci_hi",
-    "analytic_value",
-    "bound_value",
-    "sigma_distance",
-)
-
-
-def _run_chain_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
+def _run_chain_sim(cfg: ExperimentConfig) -> list[dict]:
     s = cfg.scenario
     assert isinstance(s, CausalChainScenario)
     crn = read_params(cfg.params, {"common_random_numbers": True})["common_random_numbers"]
@@ -116,10 +103,10 @@ def _run_chain_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
     else:
         e = estimate_chain(s, cfg.twi, cfg.trials, cfg.seed, cfg.threads).no_violation
         pairs = [(cfg.twi.window, e)]
-    return SIM_HEADER, [_estimate_row(cfg, e, "chain_no_violation", s.n, w) for w, e in pairs]
+    return [_estimate_row(cfg, e, "chain_no_violation", s.n, w) for w, e in pairs]
 
 
-def _run_fanout_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
+def _run_fanout_sim(cfg: ExperimentConfig) -> list[dict]:
     s = cfg.scenario
     assert isinstance(s, FanOutScenario)
     read_params(cfg.params, {})
@@ -128,24 +115,10 @@ def _run_fanout_sim(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]
     if cfg.twi.random_offset and all(isinstance(inp.model, Constant) for inp in s.inputs):
         arrivals = [inp.delay + inp.model.value for inp in s.inputs]
         analytic = analytics.p_sim_violation_n(arrivals, cfg.twi.window)
-    return SIM_HEADER, [_estimate_row(cfg, e, "fanout_sim_violation", s.n, cfg.twi.window, analytic)]
+    return [_estimate_row(cfg, e, "fanout_sim_violation", s.n, cfg.twi.window, analytic)]
 
 
-BOUNDS_HEADER = (
-    "scenario_id",
-    "n",
-    "w",
-    "trials",
-    "joint_estimate",
-    "joint_std_err",
-    "product_bound",
-    "holder_bound",
-    "max_pairwise",
-    "pairwise",
-)
-
-
-def _run_bounds_check(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
+def _run_bounds_check(cfg: ExperimentConfig) -> list[dict]:
     s = cfg.scenario
     assert isinstance(s, CausalChainScenario)
     read_params(cfg.params, {})
@@ -164,10 +137,8 @@ def _run_bounds_check(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict
         "max_pairwise": max(pairwise) if w > 0.0 else None,
         "pairwise": ";".join(repr(p) for p in pairwise),
     }
-    return BOUNDS_HEADER, [row]
+    return [row]
 
-
-NAME_VALUE_HEADER = ("scenario_id", "op", "name", "value")
 
 # The fields of analytics.TwoInputParams, the two-input receiver; the
 # expected violation probability does not read the link's support bounds.
@@ -270,24 +241,20 @@ def _name_value_rows(cfg: ExperimentConfig, op: str, entries, spec: dict) -> lis
     return rows
 
 
-def _run_analytic(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
+def _run_analytic(cfg: ExperimentConfig) -> list[dict]:
     op = cfg.params.get("op")
     entry = ANALYTIC_OPS.get(op) if isinstance(op, str) else None
     if entry is None:
         raise ConfigError(f"params.op: unknown analytic operation {_shown(op)}")
-    return NAME_VALUE_HEADER, _name_value_rows(cfg, op, [entry], {"op": MISSING})
+    return _name_value_rows(cfg, op, [entry], {"op": MISSING})
 
 
-def _run_plan(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
+def _run_plan(cfg: ExperimentConfig) -> list[dict]:
     sections = [entry for key, entry in PLAN_SECTIONS.items() if key in cfg.params]
     rows = _name_value_rows(cfg, "plan", sections, {})
     if not rows:
         raise ConfigError("params: plan config needs sender_budget, model+w, or slot entries")
-    return NAME_VALUE_HEADER, rows
-
-
-FIG7_HEADER = ("N", "exact", "bound", "mc_estimate", "std_err")
-FIG8_HEADER = ("W_over_tau", "N", "estimate", "std_err")
+    return rows
 
 
 def two_rate_chain(n: int, t_0: float = 1.0, tau: float = 0.5) -> CausalChainScenario:
@@ -295,7 +262,7 @@ def two_rate_chain(n: int, t_0: float = 1.0, tau: float = 0.5) -> CausalChainSce
     probability; action time tau < t_0 between consecutive events."""
     return CausalChainScenario(
         action_times=(tau,) * (n - 1),
-        inputs=(LinkInput(TwoPoint(2.0 * t_0, t_0, 0.5)),) * n,
+        inputs=(ScenarioInput(TwoPoint(2.0 * t_0, t_0, 0.5)),) * n,
     )
 
 
@@ -304,7 +271,7 @@ def exponential_chain(n: int, tau: float = 1.0) -> CausalChainScenario:
     0.5*tau; action time tau between consecutive events."""
     return CausalChainScenario(
         action_times=(tau,) * (n - 1),
-        inputs=(LinkInput(ShiftedExponential(0.0, 2.0 / tau)),) * n,
+        inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0 / tau)),) * n,
     )
 
 
@@ -355,10 +322,10 @@ def reproduce_window_sweep(
     return rows
 
 
-def _run_reproduce(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
+def _run_reproduce(cfg: ExperimentConfig) -> list[dict]:
     if read_params(cfg.params, {"figure": MISSING})["figure"] == 7:
-        return FIG7_HEADER, reproduce_two_rate_curve(cfg.trials, cfg.seed, cfg.threads)
-    return FIG8_HEADER, reproduce_window_sweep(cfg.trials, cfg.seed, cfg.threads)
+        return reproduce_two_rate_curve(cfg.trials, cfg.seed, cfg.threads)
+    return reproduce_window_sweep(cfg.trials, cfg.seed, cfg.threads)
 
 
 _RUNNERS = {
@@ -371,8 +338,8 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[dict]]:
-    """Execute the experiment; returns (header, rows)."""
+def run_experiment(cfg: ExperimentConfig) -> list[dict]:
+    """Execute the experiment; returns its rows."""
     return _RUNNERS[cfg.kind](cfg)
 
 
@@ -417,9 +384,9 @@ def _rewrite(path: str, text: str) -> None:
         os.close(fd)
 
 
-def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], wall_time: float) -> None:
+def write_outputs(cfg: ExperimentConfig, rows, out_path: Optional[str], wall_time: float) -> None:
     """Write the CSV (stdout when no path) and, for files, the manifest."""
-    csv_text = rows_to_csv(header, rows)
+    csv_text = rows_to_csv(rows)
     if out_path is None:
         sys.stdout.write(csv_text)
         return
@@ -442,6 +409,6 @@ def write_outputs(cfg: ExperimentConfig, header, rows, out_path: Optional[str], 
 def execute(cfg: ExperimentConfig, out_path: Optional[str] = None) -> list[dict]:
     """Run and persist an experiment; returns the result rows."""
     start = time.monotonic()
-    header, rows = run_experiment(cfg)
-    write_outputs(cfg, header, rows, out_path if out_path is not None else cfg.output, time.monotonic() - start)
+    rows = run_experiment(cfg)
+    write_outputs(cfg, rows, out_path if out_path is not None else cfg.output, time.monotonic() - start)
     return rows

@@ -26,44 +26,25 @@ from twisim.core import (
     chunk_rng,
     ensure_duration,
     sample,
-    validate_model,
 )
 from twisim.analytics import TwoInputParams, _check_cause
-from twisim.inputs import SensorSpec
+from twisim.inputs import ScenarioInput, sensor
 from twisim.twi import TwiSpec, stamp_array
 
 CHUNK_SIZE = 1 << 15
 
 
-@dataclass(frozen=True)
-class LinkInput:
-    """Digital input of a scenario: transmission-time model plus the fixed
-    action/propagation delay separating the source event from the send."""
-
-    model: TransmissionTimeModel
-    delay: Duration = 0.0
-
-    def __post_init__(self) -> None:
-        validate_model(self.model)
-        ensure_duration(self.delay, "LinkInput.delay")
-
-
-ScenarioInput = Union[LinkInput, SensorSpec]
-
-
 def _check_inputs(inputs: Sequence[ScenarioInput]) -> None:
-    seen_ids = set()
+    seen = set()
     for inp in inputs:
-        if isinstance(inp, SensorSpec):
-            if inp.sensor_id is not None:
-                if inp.sensor_id in seen_ids:
-                    raise ParameterError(
-                        f"sensor id {_shown(inp.sensor_id)} used by two inputs; chain inputs "
-                        "must come from distinct sensors"
-                    )
-                seen_ids.add(inp.sensor_id)
-        elif not isinstance(inp, LinkInput):
-            raise ParameterError(f"unsupported scenario input: {_shown(inp)}")
+        if inp.sensor_id is None:
+            continue
+        if inp.sensor_id in seen:
+            raise ParameterError(
+                f"sensor id {_shown(inp.sensor_id)} used by two inputs; chain inputs "
+                "must come from distinct sensors"
+            )
+        seen.add(inp.sensor_id)
 
 
 @dataclass(frozen=True)
@@ -192,7 +173,11 @@ def _stamps(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
     try:
         return stamp_array(t, twi.window, offset)
     except FloatingPointError:
-        raise ParameterError(f"window {twi.window} is too small relative to the arrival times") from None
+        raise _too_small(twi.window) from None
+
+
+def _too_small(w: float) -> ParameterError:
+    return ParameterError(f"window {w} is too small relative to the arrival times")
 
 
 def _ordered_pairs(
@@ -315,8 +300,13 @@ def estimate_no_violation_sweep(
         # W > 0 stamps the anchored times; the shift is the same for every W
         shifted = raw - t[rows, :1] if s.anchor_first_arrival else raw
         u = None if u is None else u[rows]
+        # estimate_chain stamps every time, and raises where the largest
+        # overflows; an offset below W cannot change whether it does
+        top = float(np.abs(t - t[:, :1]).max() if s.anchor_first_arrival else t.max())
         joint = []
         for twi in twis:
+            if twi.window > 0.0 and math.isinf(top / twi.window):
+                raise _too_small(twi.window)
             ok = _ordered_pairs(shifted if twi.window > 0.0 else raw, u, twi, False)
             violated = np.zeros(count, dtype=bool)
             # an index gather: NumPy's boolean-mask gather is several times slower here
@@ -362,7 +352,7 @@ def estimate_cv_two_input(
     its one pair stamped out of order.  A predictive sender's negative tau_a
     delays the digital input instead of the sensed event."""
     _check_cause(p, cause)
-    sensor, link = SensorSpec(p.t_s, p.tau_s), LinkInput(model, max(0.0, -p.tau_a))
-    chain = CausalChainScenario((max(0.0, p.tau_a),), (sensor, link) if cause == "physical" else (link, sensor))
+    inputs = (sensor(p.t_s, p.tau_s), ScenarioInput(model, max(0.0, -p.tau_a)))
+    chain = CausalChainScenario((max(0.0, p.tau_a),), inputs if cause == "physical" else inputs[::-1])
     joint, _ = chain_tallies(chain, _random_offset_twi(p.w), trials, seed, threads)
     return _make_estimate(trials - joint, trials, seed)

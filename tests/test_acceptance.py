@@ -23,9 +23,9 @@ from twisim.bounds import (
 from twisim.cli import main
 from twisim.core import Constant, ShiftedExponential, TwoPoint, UniformRange
 from twisim.harness import reproduce_two_rate_curve, reproduce_window_sweep
+from twisim.inputs import ScenarioInput
 from twisim.mc import (
     CausalChainScenario,
-    LinkInput,
     estimate_chain,
     estimate_cv_two_input,
 )
@@ -173,7 +173,7 @@ def test_criterion_4_chain_bounds():
         n = r.choice([3, 5, 10])
         scenario = CausalChainScenario(
             action_times=tuple(r.uniform(0.2, 1.0) for _ in range(n - 1)),
-            inputs=tuple(LinkInput(_random_model(r)) for _ in range(n)),
+            inputs=tuple(ScenarioInput(_random_model(r)) for _ in range(n)),
         )
         w = 0.0 if i % 2 == 0 else r.uniform(0.2, 1.5)
         twi = TwiSpec(w, offset=None if w > 0.0 else 0.0)
@@ -258,8 +258,8 @@ def test_criterion_6_exponential_lower_bound():
                 scenario = CausalChainScenario(
                     action_times=(tau,),
                     inputs=(
-                        LinkInput(ShiftedExponential(0.0, lam)),
-                        LinkInput(t2_model),
+                        ScenarioInput(ShiftedExponential(0.0, lam)),
+                        ScenarioInput(t2_model),
                     ),
                 )
                 est = estimate_chain(

@@ -21,7 +21,7 @@ from twisim.core import (
     sample,
     validate_model,
 )
-from twisim.inputs import SensorMode, SensorSpec, sample_sensor_detection_time
+from twisim.inputs import ScenarioInput, sample_sensor_detection_time, sensor
 
 MODELS = [
     Constant(0.003),
@@ -87,13 +87,13 @@ def test_two_point_frequencies():
 @pytest.mark.parametrize("p_a", [0.0, 0.3, 1.0])
 def test_two_point_sample_matches_the_where_form(p_a):
     model = TwoPoint(2.0, 1.0, p_a)
-    draws = model.sample(chunk_rng(4, 0), 1000)
+    draws = sample(model, chunk_rng(4, 0), 1000)
     u = chunk_rng(4, 0).random(1000)
     assert draws.dtype == np.float64
     assert np.array_equal(draws, np.where(u < p_a, 2.0, 1.0))
     rng, ref = chunk_rng(4, 1), chunk_rng(4, 1)
     for _ in range(50):
-        x = model.sample(rng)
+        x = sample(model, rng)
         assert type(x) is float
         assert x == float(np.where(ref.random() < p_a, 2.0, 1.0))
 
@@ -117,7 +117,7 @@ def test_two_point_sample_is_the_where_form_bit_for_bit(value_a, value_b, same, 
     if same:
         value_b = value_a
     rng, ref = chunk_rng(seed, 0), chunk_rng(seed, 0)
-    draws = TwoPoint(value_a, value_b, p_a).sample(rng, size)
+    draws = sample(TwoPoint(value_a, value_b, p_a), rng, size)
     expected = np.where(ref.random(size) < p_a, value_a, value_b)
     assert draws.dtype == np.float64 and draws.shape == (size,)
     assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
@@ -213,20 +213,17 @@ models = st.one_of(
     st.builds(lambda values: Empirical(tuple(values)), st.lists(moderate, min_size=1, max_size=20)),
 )
 sensors = st.builds(
-    SensorSpec,
+    sensor,
     t_s=st.floats(min_value=1e-6, max_value=1e3),
     tau_s=st.one_of(st.just(0.0), moderate),
-    mode=st.sampled_from(list(SensorMode)),
+    mode=st.sampled_from(("synchronous", "asynchronous")),
 )
 
 
 def _allocating_draws(source, rng, size):
     """The draws as NumPy's allocating samplers make them."""
-    if isinstance(source, SensorSpec):
-        base = source.tau_s + source.t_s
-        if source.mode is SensorMode.ASYNCHRONOUS:
-            return np.full(size, base)
-        return base + rng.uniform(0.0, source.t_s, size)
+    if isinstance(source, ScenarioInput):  # a sensor: phase model plus delay
+        return _allocating_draws(source.model, rng, size) + source.delay
     if isinstance(source, Constant):
         return np.full(size, float(source.value))
     if isinstance(source, UniformRange):
@@ -246,7 +243,7 @@ def _allocating_draws(source, rng, size):
 )
 @settings(max_examples=300, deadline=None)
 def test_a_draw_into_a_column_is_the_allocating_draw(source, size, column, seed):
-    draw = sample_sensor_detection_time if isinstance(source, SensorSpec) else sample
+    draw = sample_sensor_detection_time if isinstance(source, ScenarioInput) else sample
     matrix = np.full((size, 3), np.nan, order="F")
     rngs = [chunk_rng(seed, 0) for _ in range(3)]
     assert draw(source, rngs[0], size, matrix[:, column]).base is matrix

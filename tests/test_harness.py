@@ -32,7 +32,6 @@ from twisim.harness import (
     run_experiment,
     two_rate_chain,
 )
-from twisim.inputs import SensorMode
 from twisim.twi import TwiSpec, event_throughput_loss
 
 CHAIN_CFG = {
@@ -147,6 +146,26 @@ def test_a_key_given_twice_in_one_object_exits_2(tmp_path, capsys, text, key):
     assert captured.out == ""
 
 
+def test_a_config_that_starts_with_a_utf8_bom_exits_2(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"kind": "reproduce", "params": {"figure": 7}}).encode())
+    assert main(["reproduce", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}:1:1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+    assert captured.out == ""
+
+
+def test_sweep_and_simulate_agree_on_a_window_too_small_for_in_order_arrivals(tmp_path, capsys):
+    # constant arrivals 1.0 and 1.5: no pair is inverted, but 1.5 / 1e-310 overflows
+    links = [{"type": "link", "model": {"kind": "constant", "value": 1.0}}] * 2
+    scenario = {"action_times": [0.5], "inputs": links}
+    for command, field in (("simulate", {"twi": {"window": 1e-310}}), ("sweep", {"w_sweep": [1e-310]})):
+        cfg = {"kind": "chain_sim", "trials": 100, "scenario": scenario, **field}
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == "runtime error: window 1e-310 is too small relative to the arrival times\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_a_nan_t_max_is_named_not_blamed_on_t_ab(tmp_path, capsys):
     params = {"op": "conditions_digital_cause", "t_s": 0.01, "t_ab": 0.005, "t_max": math.nan}  # written as NaN
     assert main(["analytic", write_cfg(tmp_path, {"kind": "analytic", "params": params})]) == 3
@@ -154,10 +173,7 @@ def test_a_nan_t_max_is_named_not_blamed_on_t_ab(tmp_path, capsys):
 
 
 def test_rows_to_csv_formatting():
-    text = rows_to_csv(
-        ("a", "b", "c", "d"),
-        [{"a": 0.1, "b": True, "c": None, "d": math.nan}, {"a": 2, "b": False, "c": "x"}],
-    )
+    text = rows_to_csv([{"a": 0.1, "b": True, "c": None, "d": math.nan}, {"a": 2, "b": False, "c": "x", "d": None}])
     assert text == "a,b,c,d\n0.1,true,,\n2,false,x,\n"
     assert "\r" not in text
 
@@ -171,7 +187,7 @@ def test_reference_scenarios():
 
 
 def test_run_experiment_chain():
-    header, rows = run_experiment(config_from_dict(CHAIN_CFG))
+    rows = run_experiment(config_from_dict(CHAIN_CFG))
     assert len(rows) == 1
     assert rows[0]["kind"] == "chain_no_violation"
     assert 0.0 <= rows[0]["estimate"] <= 1.0
@@ -184,7 +200,7 @@ def test_run_experiment_analytic():
             "params": {"op": "sim_violation_n", "arrivals": [1.0, 1.5], "w": 1.0},
         }
     )
-    header, rows = run_experiment(cfg)
+    rows = run_experiment(cfg)
     assert rows == [{"scenario_id": "run", "op": "sim_violation_n", "name": "p_violation", "value": 0.5}]
     with pytest.raises(ConfigError, match="params.op"):
         run_experiment(config_from_dict({"kind": "analytic", "params": {"op": "nope"}}))
@@ -202,8 +218,8 @@ def test_empirical_csv_has_python_floats_and_the_array_is_read_only():
         ("analytic", {"op": "expected_cv_two_input", "t_s": 0.01, "w": 0.005, "model": model}),
         ("plan", {"model": model, "w": 0.005}),
     ]:
-        header, rows = run_experiment(config_from_dict({"kind": kind, "params": params}))
-        assert "np." not in rows_to_csv(header, rows)
+        rows = run_experiment(config_from_dict({"kind": kind, "params": params}))
+        assert "np." not in rows_to_csv(rows)
     array = model_from_dict(model).array
     assert array.dtype == np.float64
     with pytest.raises(ValueError):
@@ -220,7 +236,7 @@ def test_run_experiment_bounds_check_columns():
             "scenario": CHAIN_CFG["scenario"],
         }
     )
-    _, rows = run_experiment(cfg)
+    rows = run_experiment(cfg)
     assert rows[0]["product_bound"] is not None
     assert rows[0]["holder_bound"] is None
     cfg = config_from_dict(
@@ -231,7 +247,7 @@ def test_run_experiment_bounds_check_columns():
             "scenario": CHAIN_CFG["scenario"],
         }
     )
-    _, rows = run_experiment(cfg)
+    rows = run_experiment(cfg)
     assert rows[0]["product_bound"] is None
     assert rows[0]["holder_bound"] is not None
     assert rows[0]["max_pairwise"] is not None
@@ -280,7 +296,7 @@ def test_fanout_reports_analytic_reference():
             },
         }
     )
-    _, rows = run_experiment(cfg)
+    rows = run_experiment(cfg)
     assert rows[0]["analytic_value"] == pytest.approx(0.5)
     assert rows[0]["sigma_distance"] <= 4.0
 
@@ -297,7 +313,7 @@ def test_sigma_distance_is_finite_at_an_estimate_of_zero():
             "scenario": {"inputs": links},
         }
     )
-    (row,) = run_experiment(cfg)[1]
+    (row,) = run_experiment(cfg)
     assert row["estimate"] == 0.0 and row["ci_lo"] <= row["analytic_value"] <= row["ci_hi"]
     assert row["sigma_distance"] == pytest.approx(0.0025 / math.sqrt(0.0025 * 0.9975 / 100))
     assert row["sigma_distance"] == pytest.approx(0.5006, abs=1e-4)
@@ -393,8 +409,8 @@ ANALYTIC_CFG = {
 
 
 def _write(cfg, out):
-    header, rows = run_experiment(cfg)
-    harness.write_outputs(cfg, header, rows, str(out), 0.25)
+    rows = run_experiment(cfg)
+    harness.write_outputs(cfg, rows, str(out), 0.25)
     return out.read_bytes(), Path(f"{out}.manifest.json").read_bytes()
 
 
@@ -474,8 +490,8 @@ def test_manifest_is_the_indented_json_of_its_fields(tmp_path, monkeypatch, from
     monkeypatch.setattr(harness, "_git_describe", lambda: git)
     cfg = load_config(write_cfg(tmp_path, ANALYTIC_CFG)) if from_file else config_from_dict(ANALYTIC_CFG)
     out = tmp_path / "out.csv"
-    header, rows = run_experiment(cfg)
-    harness.write_outputs(cfg, header, rows, str(out), wall_time)
+    rows = run_experiment(cfg)
+    harness.write_outputs(cfg, rows, str(out), wall_time)
     text = Path(f"{out}.manifest.json").read_text(encoding="utf-8")
     manifest = json.loads(text)
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -983,7 +999,7 @@ def test_a_number_too_large_for_a_float_exits_2(tmp_path, capsys, command, cfg, 
 
 
 def _values(kind, params):
-    _, rows = run_experiment(config_from_dict({"kind": kind, "params": params}))
+    rows = run_experiment(config_from_dict({"kind": kind, "params": params}))
     return {row["name"]: row["value"] for row in rows}
 
 
@@ -1050,7 +1066,7 @@ def test_each_plan_section_matches_a_direct_call():
     assert _values("plan", {"slot": 0.002, "t": 0.0051}) == {"slot_index": 3}
     # sections run in table order, each once
     params = {"slot": 0.002, "w": 0.004, "sender_budget": 0.004, "t_s": 0.01}
-    _, rows = run_experiment(config_from_dict({"kind": "plan", "params": params}))
+    rows = run_experiment(config_from_dict({"kind": "plan", "params": params}))
     assert [r["name"] for r in rows] == ["max_t_ab", "radio_budget", "twi_on_grid"]
     with pytest.raises(ConfigError, match="params: plan config needs"):
         run_experiment(config_from_dict({"kind": "plan", "params": {"slot": 0.002}}))
@@ -1063,8 +1079,6 @@ def _readme_default(default):
         return "none"
     if default == TwiSpec(0.0):
         return "{}"
-    if isinstance(default, SensorMode):
-        default = default.value
     if isinstance(default, str):
         return f'"{default}"'
     if isinstance(default, (bool, dict, tuple)):
@@ -1191,3 +1205,40 @@ def test_a_scenario_id_that_cannot_be_written_is_a_config_error(tmp_path, capsys
     assert err.startswith("config error: ")
     assert "config.json.scenario_id: expected a string encodable as UTF-8" in err
     assert out.read_bytes() == b"the previous run's rows\n"
+
+
+_SIM_COLUMNS = "scenario_id,kind,n,w,trials,estimate,std_err,ci_lo,ci_hi,analytic_value,bound_value,sigma_distance"
+_BOUNDS_COLUMNS = "scenario_id,n,w,trials,joint_estimate,joint_std_err,product_bound,holder_bound,max_pairwise,pairwise"
+_NAME_VALUE_COLUMNS = "scenario_id,op,name,value"
+_REPRODUCE = {"kind": "reproduce", "trials": 500}
+_FANOUT_INPUTS = [
+    {"type": "sensor", "t_s": 0.02, "sensor_id": "s0"},
+    {"type": "link", "model": {"kind": "empirical", "values": [0.01, 0.03]}},
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, header",
+    [
+        ("simulate", CHAIN_CFG, _SIM_COLUMNS),
+        ("sweep", {**CHAIN_CFG, "w_sweep": [0.0, 0.5, 1.0]}, _SIM_COLUMNS),
+        (
+            "simulate",
+            {"kind": "fanout_sim", "twi": {"window": 0.05, "offset": "random"}, "scenario": {"inputs": _FANOUT_INPUTS}},
+            _SIM_COLUMNS,
+        ),
+        ("bounds", {**CHAIN_CFG, "kind": "bounds_check", "twi": {"window": 0.0}}, _BOUNDS_COLUMNS),
+        ("bounds", {**CHAIN_CFG, "kind": "bounds_check"}, _BOUNDS_COLUMNS),
+        ("analytic", ANALYTIC_CFG, _NAME_VALUE_COLUMNS),
+        ("plan", {"kind": "plan", "params": {"model": MODELS[2], "w": 0.5, "slot": 0.1, "t": 0.25}}, _NAME_VALUE_COLUMNS),
+        ("reproduce", {**_REPRODUCE, "params": {"figure": 7}}, "N,exact,bound,mc_estimate,std_err"),
+        ("reproduce", {**_REPRODUCE, "params": {"figure": 8}}, "W_over_tau,N,estimate,std_err"),
+    ],
+    ids=["chain_sim", "sweep", "fanout_sim", "bounds_check-w0", "bounds_check-w", "analytic", "plan", "fig7", "fig8"],
+)
+def test_the_csv_header_of_each_kind_is_the_key_order_of_every_row(tmp_path, command, cfg, header):
+    out = tmp_path / "out.csv"
+    assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert out.read_text().split("\n", 1)[0] == header
+    rows = run_experiment(config_from_dict(cfg))
+    assert all(list(row) == header.split(",") for row in rows)

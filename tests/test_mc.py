@@ -1,4 +1,5 @@
 import math
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -18,11 +19,10 @@ from twisim.core import (
     chunk_rng,
     sample,
 )
-from twisim.inputs import SensorMode, SensorSpec, sample_sensor_detection_time
+from twisim.inputs import ScenarioInput, sensor
 from twisim.mc import (
     CausalChainScenario,
     FanOutScenario,
-    LinkInput,
     _chain_arrivals,
     _random_offset_twi,
     derived_seed,
@@ -37,23 +37,23 @@ from twisim.twi import TwiSpec, stamp_array
 def fixed_chain(values, taus):
     return CausalChainScenario(
         action_times=tuple(taus),
-        inputs=tuple(LinkInput(Constant(v)) for v in values),
+        inputs=tuple(ScenarioInput(Constant(v)) for v in values),
     )
 
 
 def test_scenario_validation():
     with pytest.raises(ParameterError):
-        CausalChainScenario(action_times=(), inputs=(LinkInput(Constant(1.0)),))
+        CausalChainScenario(action_times=(), inputs=(ScenarioInput(Constant(1.0)),))
     with pytest.raises(ParameterError):
         CausalChainScenario(
-            action_times=(1.0, 1.0), inputs=(LinkInput(Constant(1.0)),) * 2
+            action_times=(1.0, 1.0), inputs=(ScenarioInput(Constant(1.0)),) * 2
         )
     with pytest.raises(ParameterError):
         CausalChainScenario(
             action_times=(1.0,),
             inputs=(
-                SensorSpec(t_s=1.0, sensor_id="a"),
-                SensorSpec(t_s=1.0, sensor_id="a"),
+                sensor(t_s=1.0, sensor_id="a"),
+                sensor(t_s=1.0, sensor_id="a"),
             ),
         )
     with pytest.raises(ParameterError):
@@ -97,7 +97,7 @@ def test_estimate_chain_deterministic_scenario():
 def test_estimates_replay_bit_identically():
     s = CausalChainScenario(
         action_times=(0.5,) * 2,
-        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 3,
+        inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0)),) * 3,
     )
     a = estimate_chain(s, TwiSpec(0.0), 70_000, seed=42)
     b = estimate_chain(s, TwiSpec(0.0), 70_000, seed=42)
@@ -109,7 +109,7 @@ def test_estimates_replay_bit_identically():
 def test_thread_count_does_not_change_estimates():
     s = CausalChainScenario(
         action_times=(0.5,) * 4,
-        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 5,
+        inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0)),) * 5,
     )
     fanout = FanOutScenario(inputs=s.inputs)
     p = TwoInputParams(t_s=0.010, tau_s=0.001, tau_a=0.002, t_min=0.0, t_max=1.0, w=0.006)
@@ -134,7 +134,7 @@ def test_two_rate_pair_matches_exact():
     # adjacent pair of the two-rate chain: ordered with probability 3/4
     s = CausalChainScenario(
         action_times=(0.5,),
-        inputs=(LinkInput(TwoPoint(2.0, 1.0, 0.5)),) * 2,
+        inputs=(ScenarioInput(TwoPoint(2.0, 1.0, 0.5)),) * 2,
     )
     est = estimate_chain(s, TwiSpec(0.0), 400_000, seed=3)
     se = est.no_violation.std_err
@@ -146,8 +146,8 @@ def test_sensor_input_in_chain():
     s = CausalChainScenario(
         action_times=(1.0,),
         inputs=(
-            SensorSpec(t_s=0.2, tau_s=0.1, mode=SensorMode.ASYNCHRONOUS),
-            LinkInput(Constant(0.5)),
+            sensor(t_s=0.2, tau_s=0.1, mode="asynchronous"),
+            ScenarioInput(Constant(0.5)),
         ),
     )
     t = _chain_arrivals(s, chunk_rng(0, 0), 1000)
@@ -183,7 +183,7 @@ def test_sweep_crn_monotone_for_fixed_arrivals():
 def test_sweep_without_crn_is_independent_but_consistent():
     s = CausalChainScenario(
         action_times=(1.0,),
-        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 2,
+        inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0)),) * 2,
     )
     ws = [0.5, 1.0]
     crn = estimate_no_violation_sweep(s, ws, 150_000, seed=2, common_random_numbers=True)
@@ -219,19 +219,19 @@ def test_wilson_interval_reference_values():
 
 def test_sim_violation_fixed_arrivals():
     # arrivals 1 and 3; random offset, W=4 -> p = 2/4
-    s = FanOutScenario(inputs=(LinkInput(Constant(1.0)), LinkInput(Constant(3.0))))
+    s = FanOutScenario(inputs=(ScenarioInput(Constant(1.0)), ScenarioInput(Constant(3.0))))
     est = estimate_sim_violation(s, TwiSpec(4.0, offset=None), 200_000, seed=6)
     assert abs(est.p_hat - p_sim_violation_n([1.0, 3.0], 4.0)) <= 4.0 * est.std_err
     # single input never violates
-    single = FanOutScenario(inputs=(LinkInput(UniformRange(0.0, 1.0)),))
+    single = FanOutScenario(inputs=(ScenarioInput(UniformRange(0.0, 1.0)),))
     est = estimate_sim_violation(single, TwiSpec(4.0, offset=None), 1000, seed=6)
     assert est.p_hat == 0.0
 
 
 def test_sim_violation_raw_mode():
-    s = FanOutScenario(inputs=(LinkInput(Constant(1.0)), LinkInput(Constant(1.0))))
+    s = FanOutScenario(inputs=(ScenarioInput(Constant(1.0)), ScenarioInput(Constant(1.0))))
     assert estimate_sim_violation(s, TwiSpec(0.0), 1000, seed=1).p_hat == 0.0
-    s = FanOutScenario(inputs=(LinkInput(Constant(1.0)), LinkInput(Constant(1.5))))
+    s = FanOutScenario(inputs=(ScenarioInput(Constant(1.0)), ScenarioInput(Constant(1.5))))
     assert estimate_sim_violation(s, TwiSpec(0.0), 1000, seed=1).p_hat == 1.0
 
 
@@ -263,7 +263,7 @@ def test_chunk_streams_differ(chunks, seed):
 def test_chunk_arrivals_are_input_major():
     s = CausalChainScenario(
         action_times=(0.5,) * 2,
-        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 3,
+        inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0)),) * 3,
     )
     t = _chain_arrivals(s, chunk_rng(1, 0), 1000)
     assert t.shape == (1000, 3)
@@ -271,8 +271,8 @@ def test_chunk_arrivals_are_input_major():
 
 
 TRACE = Empirical((0.2, 0.5, 1.1, 0.05))
-SYNC_SENSOR = SensorSpec(t_s=0.25, tau_s=0.1, sensor_id="s0")
-ASYNC_SENSOR = SensorSpec(t_s=0.6, mode=SensorMode.ASYNCHRONOUS, sensor_id="s1")
+SYNC_SENSOR = sensor(t_s=0.25, tau_s=0.1, sensor_id="s0")
+ASYNC_SENSOR = sensor(t_s=0.6, mode="asynchronous", sensor_id="s1")
 
 
 @pytest.mark.parametrize(
@@ -281,16 +281,22 @@ ASYNC_SENSOR = SensorSpec(t_s=0.6, mode=SensorMode.ASYNCHRONOUS, sensor_id="s1")
         CausalChainScenario(
             action_times=(0.5, 0.0, 0.1, 0.3, 0.2),
             inputs=(
-                LinkInput(TwoPoint(0.1, 1.3, 0.3), 0.2),
+                ScenarioInput(TwoPoint(0.1, 1.3, 0.3), 0.2),
                 SYNC_SENSOR,
-                LinkInput(TRACE, 0.7),
+                ScenarioInput(TRACE, 0.7),
                 ASYNC_SENSOR,
-                LinkInput(ShiftedExponential(0.05, 2.0)),
-                LinkInput(UniformRange(0.1, 0.9), 0.05),
+                ScenarioInput(ShiftedExponential(0.05, 2.0)),
+                ScenarioInput(UniformRange(0.1, 0.9), 0.05),
             ),
         ),
         FanOutScenario(
-            (SYNC_SENSOR, ASYNC_SENSOR, LinkInput(TRACE, 0.3), LinkInput(TRACE), LinkInput(Constant(0.4), 0.1))
+            (
+                SYNC_SENSOR,
+                ASYNC_SENSOR,
+                ScenarioInput(TRACE, 0.3),
+                ScenarioInput(TRACE),
+                ScenarioInput(Constant(0.4), 0.1),
+            )
         ),
     ],
     ids=["chain", "fanout"],
@@ -300,12 +306,7 @@ def test_chain_arrivals_are_the_stacked_input_draws(s):
     drawn = chunk_rng(3, 0)
     t = _chain_arrivals(s, drawn, count)
     rng = chunk_rng(3, 0)  # inputs in order, then the offset fractions
-    columns = [
-        sample_sensor_detection_time(inp, rng, count)
-        if isinstance(inp, SensorSpec)
-        else sample(inp.model, rng, count) + inp.delay
-        for inp in s.inputs
-    ]
+    columns = [sample(inp.model, rng, count) + inp.delay for inp in s.inputs]
     expected = np.column_stack(columns) + s.occurrence_offsets()
     assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
     assert np.array_equal(drawn.random(count), rng.random(count))
@@ -319,12 +320,12 @@ SWEEP_MODELS = (
     Empirical((0.2, 0.5, 1.1, 0.05)),
 )
 chain_inputs = st.one_of(
-    st.builds(LinkInput, st.sampled_from(SWEEP_MODELS), st.sampled_from((0.0, 0.2))),
+    st.builds(ScenarioInput, st.sampled_from(SWEEP_MODELS), st.sampled_from((0.0, 0.2))),
     st.builds(
-        SensorSpec,
+        sensor,
         t_s=st.sampled_from((0.25, 0.6)),
         tau_s=st.sampled_from((0.0, 0.1)),
-        mode=st.sampled_from(list(SensorMode)),
+        mode=st.sampled_from(("synchronous", "asynchronous")),
     ),
 )
 
@@ -361,7 +362,7 @@ def test_anchored_sweep_compares_raw_times_at_w0():
     q = 2.0**-54
     s = CausalChainScenario(
         action_times=(0.0, 0.0),
-        inputs=tuple(LinkInput(Constant(v)) for v in (q, 0.75 + 2 * q, 0.75)),
+        inputs=tuple(ScenarioInput(Constant(v)) for v in (q, 0.75 + 2 * q, 0.75)),
         anchor_first_arrival=True,
     )
     ws = [0.0, 0.5]
@@ -406,7 +407,7 @@ def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
 
     s = CausalChainScenario(
         action_times=(0.5,),
-        inputs=(LinkInput(ShiftedExponential(0.0, 2.0)),) * 2,
+        inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0)),) * 2,
     )
     monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
@@ -458,10 +459,10 @@ def test_fanout_stamped_at_its_extremes_counts_as_stamped_densely(inputs, twi, t
 GOLDEN_CHAIN = CausalChainScenario(
     action_times=(0.3, 0.0, 0.2),
     inputs=(
-        LinkInput(ShiftedExponential(0.05, 2.0), 0.1),
+        ScenarioInput(ShiftedExponential(0.05, 2.0), 0.1),
         SYNC_SENSOR,
-        LinkInput(TwoPoint(0.1, 1.3, 0.3)),
-        LinkInput(TRACE, 0.2),
+        ScenarioInput(TwoPoint(0.1, 1.3, 0.3)),
+        ScenarioInput(TRACE, 0.2),
     ),
 )
 GOLDEN_WINDOWS = {"w0": TwiSpec(0.0), "fixed": TwiSpec(0.7, offset=0.2), "random": TwiSpec(0.7, offset=None)}
@@ -506,7 +507,7 @@ def _golden_receiver(w):
 
 def _golden_estimates(twi):
     fanout = FanOutScenario(
-        (LinkInput(TwoPoint(0.2, 0.5, 0.3)), LinkInput(TwoPoint(0.5, 0.2, 0.4)), LinkInput(TRACE))
+        (ScenarioInput(TwoPoint(0.2, 0.5, 0.3)), ScenarioInput(TwoPoint(0.5, 0.2, 0.4)), ScenarioInput(TRACE))
     )
     receiver = _golden_receiver(twi.window)
     chain = estimate_chain(GOLDEN_CHAIN, twi, 40_000, seed=5)
@@ -539,6 +540,7 @@ def test_recorded_receiver_estimates_lie_near_the_oracle(window, cause):
 
 TINY = TwiSpec(1e-310)  # 2.0 / 1e-310 overflows to inf
 PAIR = fixed_chain([2.0, 1.0], [0.0])
+IN_ORDER = fixed_chain([1.0, 1.0], [0.5])  # no raw-inverted pair for a sweep to stamp
 
 
 @pytest.mark.parametrize(
@@ -547,12 +549,18 @@ PAIR = fixed_chain([2.0, 1.0], [0.0])
         lambda threads: estimate_chain(PAIR, TINY, 100, 1, threads),
         lambda threads: estimate_chain(PAIR, TwiSpec(1e-310, None), 100, 1, threads),
         lambda threads: estimate_no_violation_sweep(PAIR, [0.5, 1e-310], 100, 1, True, threads),
+        lambda threads: estimate_no_violation_sweep(IN_ORDER, [0.0, 1e-310], 100, 1, True, threads),
+        lambda threads: estimate_no_violation_sweep(
+            CausalChainScenario(IN_ORDER.action_times, IN_ORDER.inputs, True), [1e-310], 100, 1, True, threads
+        ),
         lambda threads: estimate_sim_violation(FanOutScenario(PAIR.inputs), TINY, 100, 1, threads),
         lambda threads: estimate_cv_two_input(
             TwoInputParams(1.0, 0.0, 0.0, 0.0, 2.0, 1e-310), Constant(2.0), "digital", 100, 1, threads
         ),
     ],
-    ids=["chain", "chain-random-offset", "crn-sweep", "fanout", "cv-two-input"],
+    ids=[
+        "chain", "chain-random-offset", "crn-sweep", "crn-sweep-in-order", "crn-sweep-anchored", "fanout", "cv-two-input"
+    ],
 )
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_window_too_small_for_the_arrivals_is_a_parameter_error(monkeypatch, estimate, threads):
@@ -563,7 +571,29 @@ def test_a_window_too_small_for_the_arrivals_is_a_parameter_error(monkeypatch, e
         estimate(threads)
 
 
+def _outcome(estimate):
+    try:
+        return estimate()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@given(
+    values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=4),
+    anchor=st.booleans(),
+    scale=st.floats(min_value=0.5, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_crn_sweep_raises_at_a_width_exactly_where_the_dense_chain_does(values, anchor, scale, seed):
+    # widths about where the largest stamped time over W overflows
+    s = CausalChainScenario((0.1,) * (len(values) - 1), tuple(ScenarioInput(Constant(v)) for v in values), anchor)
+    w = (max(values) + 0.1 * len(values)) / sys.float_info.max * scale
+    dense = _outcome(lambda: estimate_chain(s, _random_offset_twi(w), 50, seed).no_violation)
+    assert _outcome(lambda: estimate_no_violation_sweep(s, [w], 50, seed)[0]) == dense
+
+
 def test_arrivals_that_overflow_raise_rather_than_stamp_inf():
-    huge = FanOutScenario((LinkInput(ShiftedExponential(0.0, 1e-308)), LinkInput(Constant(1.0))))
+    huge = FanOutScenario((ScenarioInput(ShiftedExponential(0.0, 1e-308)), ScenarioInput(Constant(1.0))))
     with pytest.raises(FloatingPointError, match="overflow"):  # an ArithmeticError: the CLI exits 3
         estimate_sim_violation(huge, TwiSpec(1.0), 100, 1)
