@@ -108,7 +108,7 @@ def verify_ordering_lemma(
         raise ParameterError("need exactly three models")
     # the raw-time chain t1 -> t2 -> t3: its pairs are t1 <= t2 and t2 <= t3
     three = CausalChainScenario((0.0, 0.0), tuple(ScenarioInput(m) for m in models))
-    n_cond_ok, n_cond, n_ok = chain_tallies(three, TwiSpec(0.0), trials, seed)
+    [[n_cond_ok, n_cond, n_ok]] = chain_tallies(three, [TwiSpec(0.0)], trials, seed)
 
     rhs = _make_estimate(n_ok, trials, seed)
     if n_cond == 0:

@@ -4,7 +4,10 @@ Scenarios are causal chains (event i causes event i+1 after a fixed action
 time) and fan-outs (one event perceived through N inputs).  Trials are
 chunked; every chunk derives its random stream from (seed, chunk_index) and
 returns integer tallies, which ``_map_chunks`` sums in chunk order, so
-estimates are bit-identical for any thread count.
+estimates are bit-identical for any thread count.  Every chain estimate
+counts through ``chain_tallies`` over a list of windows: W = 0 counts raw
+inversions, W > 0 stamps only the inverted pairs, and chains and fan-outs
+share one too-small-window check, ``_check_window``.
 """
 
 from __future__ import annotations
@@ -164,41 +167,25 @@ def _offset_fractions(rng: np.random.Generator, count: int, random_offset: bool)
     return rng.random(count) if random_offset else None
 
 
+def _check_window(top: float, w: float) -> None:
+    """A window so small that the largest stamped |time| over W overflows is
+    a ParameterError: every stamp would be inf, and all inf stamps compare
+    equal.  An offset below W cannot change whether a stamp overflows."""
+    if w > 0.0 and math.isinf(top / w):
+        raise ParameterError(f"window {w} is too small relative to the arrival times")
+
+
 def _stamps(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
-    """Stamps of (trials, N) arrivals t; a random offset is u * W per trial.
-    A window so small that (t - offset) / W overflows is a ParameterError:
-    every stamp would be inf, and all inf stamps compare equal.  The overflow
-    raises because ``_map_chunks`` runs each chunk under ``over="raise"``."""
+    """Stamps of (trials, N) arrivals t, whose window ``_check_window`` has
+    passed; a random offset is u * W per trial."""
     offset = u[:, None] * twi.window if twi.random_offset else float(twi.offset)
-    try:
-        return stamp_array(t, twi.window, offset)
-    except FloatingPointError:
-        raise _too_small(twi.window) from None
+    return stamp_array(t, twi.window, offset)
 
 
-def _too_small(w: float) -> ParameterError:
-    return ParameterError(f"window {w} is too small relative to the arrival times")
-
-
-def _ordered_pairs(
-    t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec, anchor_first: bool
-) -> np.ndarray:
-    """Boolean (trials, N-1) matrix: adjacent pair in (stamped) order."""
-    if anchor_first and twi.window > 0.0:
-        t = t - t[:, :1]
+def _ordered_pairs(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
+    """Boolean (trials, N-1) matrix: adjacent pair in stamped order."""
     stamps = _stamps(t, u, twi)
     return stamps[:, 1:] >= stamps[:, :-1]
-
-
-def _inverted_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The adjacent pairs of (trials, N) arrivals t with t[r, i+1] < t[r, i]:
-    a (K, 2) input-major matrix of (t[r, i], t[r, i+1]) plus the row r of
-    each.  Only these pairs can be stamped out of order, since the window
-    rule is monotone in t."""
-    count = t.shape[0]
-    flat = t.ravel(order="F")  # t[r, i] is flat[i * count + r]
-    k = np.flatnonzero((t[:, 1:] < t[:, :-1]).T)  # pair-major: i * count + r
-    return np.array((flat[k], flat[k + count])).T, k % count
 
 
 def _chunk_ranges(trials: int):
@@ -231,19 +218,50 @@ def _map_chunks(fn, trials: int, threads: int) -> list[int]:
 
 
 def chain_tallies(
-    s: CausalChainScenario, twi: TwiSpec, trials: int, seed: RandomSeed, threads: int = 1
-) -> list[int]:
-    """[joint, pair_1, ..., pair_{N-1}]: the number of trials whose stamps
-    keep every adjacent pair in order, then the number that keep each pair."""
+    s: CausalChainScenario, twis: Sequence[TwiSpec], trials: int, seed: RandomSeed, threads: int = 1
+) -> list[list[int]]:
+    """For each window of ``twis``, all on the same draws: [joint, pair_1,
+    ..., pair_{N-1}], the number of trials whose stamps keep every adjacent
+    pair in order, then the number that keep each pair.
+
+    The window rule is monotone in t, so only a raw-inverted pair can be
+    stamped out of order.  Each chunk finds those pairs once: W = 0 counts
+    them, and W > 0 stamps only them, on times anchored once per chunk."""
+    random_offset = any(twi.random_offset for twi in twis)
+    windowed = any(twi.window > 0.0 for twi in twis)
 
     def work(c: int, count: int):
         rng = chunk_rng(seed, c)
         t = _chain_arrivals(s, rng, count)
-        u = _offset_fractions(rng, count, twi.random_offset)
-        ok = _ordered_pairs(t, u, twi, s.anchor_first_arrival)
-        return [np.count_nonzero(ok.all(axis=1)), *(np.count_nonzero(col) for col in ok.T)]
+        u = _offset_fractions(rng, count, random_offset)
+        inverted = t[:, 1:] < t[:, :-1]
+        if windowed:
+            a = t - t[:, :1] if s.anchor_first_arrival else t
+            # the largest |time| stamped: anchored times can be < 0, arrivals not
+            top = float(max(a.max(), -a.min()) if s.anchor_first_arrival else a.max())
+            k = np.flatnonzero(inverted.T)  # pair-major: i * count + r
+            rows, flat = k % count, a.ravel(order="F")  # a[r, i] is flat[i * count + r]
+            pairs = np.array((flat[k], flat[k + count])).T
+            u = None if u is None else u[rows]
+            edges = np.searchsorted(k, np.arange(s.n) * count)  # where each pair starts in k
+        tallies = []
+        for twi in twis:
+            if twi.window == 0.0:
+                violated = inverted.any(axis=1)
+                per_pair = [np.count_nonzero(col) for col in inverted.T]
+            else:
+                _check_window(top, twi.window)
+                bad = np.flatnonzero(~_ordered_pairs(pairs, u, twi)[:, 0])
+                violated = np.zeros(count, dtype=bool)
+                # an index gather: NumPy's boolean-mask gather is several times slower here
+                violated[rows[bad]] = True
+                e = np.searchsorted(bad, edges)
+                per_pair = (e[1:] - e[:-1]).tolist()
+            tallies += [count - np.count_nonzero(violated), *(count - v for v in per_pair)]
+        return tallies
 
-    return _map_chunks(work, trials, threads)
+    flat = _map_chunks(work, trials, threads)
+    return [flat[j : j + s.n] for j in range(0, len(flat), s.n)]
 
 
 def estimate_chain(
@@ -255,7 +273,7 @@ def estimate_chain(
 ) -> ChainEstimate:
     """Joint no-violation probability and per-pair ordering probabilities,
     estimated on the same trials."""
-    joint, *pairs = chain_tallies(s, twi, trials, seed, threads)
+    [[joint, *pairs]] = chain_tallies(s, [twi], trials, seed, threads)
     return ChainEstimate(
         no_violation=_make_estimate(joint, trials, seed),
         pairwise=tuple(_make_estimate(k, trials, seed) for k in pairs),
@@ -279,42 +297,15 @@ def estimate_no_violation_sweep(
 
     With common random numbers each trial reuses its transmission times and
     offset fraction at every window width, making the sweep exactly
-    comparable point to point; otherwise every point is independent.  A
-    common-random-number chunk finds its raw-inverted pairs once and stamps
-    only those at each width: a trial is violated iff one of them is.
+    comparable point to point; otherwise every point is independent.
     """
     twis = [_random_offset_twi(ensure_duration(w, "w")) for w in w_values]
-    random_offset = any(twi.random_offset for twi in twis)
-
     if not common_random_numbers:
         return [
             estimate_chain(s, twi, trials, derived_seed(seed, j), threads).no_violation
             for j, twi in enumerate(twis)
         ]
-
-    def work(c: int, count: int):
-        rng = chunk_rng(seed, c)
-        t = _chain_arrivals(s, rng, count)
-        u = _offset_fractions(rng, count, random_offset)
-        raw, rows = _inverted_pairs(t)
-        # W > 0 stamps the anchored times; the shift is the same for every W
-        shifted = raw - t[rows, :1] if s.anchor_first_arrival else raw
-        u = None if u is None else u[rows]
-        # estimate_chain stamps every time, and raises where the largest
-        # overflows; an offset below W cannot change whether it does
-        top = float(np.abs(t - t[:, :1]).max() if s.anchor_first_arrival else t.max())
-        joint = []
-        for twi in twis:
-            if twi.window > 0.0 and math.isinf(top / twi.window):
-                raise _too_small(twi.window)
-            ok = _ordered_pairs(shifted if twi.window > 0.0 else raw, u, twi, False)
-            violated = np.zeros(count, dtype=bool)
-            # an index gather: NumPy's boolean-mask gather is several times slower here
-            violated[rows[np.flatnonzero(~ok[:, 0])]] = True
-            joint.append(count - np.count_nonzero(violated))
-        return joint
-
-    return [_make_estimate(k, trials, seed) for k in _map_chunks(work, trials, threads)]
+    return [_make_estimate(joint, trials, seed) for joint, *_ in chain_tallies(s, twis, trials, seed, threads)]
 
 
 def estimate_sim_violation(
@@ -331,6 +322,7 @@ def estimate_sim_violation(
         ends = np.empty((count, 2), order="F")
         t.min(axis=1, out=ends[:, 0])
         t.max(axis=1, out=ends[:, 1])
+        _check_window(float(ends[:, 1].max()), twi.window)
         stamps = _stamps(ends, _offset_fractions(rng, count, twi.random_offset), twi)
         return [np.count_nonzero(stamps[:, 0] != stamps[:, 1])]
 
@@ -354,5 +346,5 @@ def estimate_cv_two_input(
     _check_cause(p, cause)
     inputs = (sensor(p.t_s, p.tau_s), ScenarioInput(model, max(0.0, -p.tau_a)))
     chain = CausalChainScenario((max(0.0, p.tau_a),), inputs if cause == "physical" else inputs[::-1])
-    joint, _ = chain_tallies(chain, _random_offset_twi(p.w), trials, seed, threads)
+    [[joint, _]] = chain_tallies(chain, [_random_offset_twi(p.w)], trials, seed, threads)
     return _make_estimate(trials - joint, trials, seed)

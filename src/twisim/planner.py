@@ -3,6 +3,7 @@ slot-grid quantization for frame-based radio systems."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from twisim.core import (
@@ -91,4 +92,6 @@ def validate_twi_on_grid(w: Duration, grid: SlotGrid) -> bool:
     if w == 0.0:
         return True
     ratio = w / grid.slot
+    if math.isinf(ratio):
+        raise ParameterError(f"window {w} is too large relative to slot {grid.slot}")
     return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)

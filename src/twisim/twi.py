@@ -84,4 +84,7 @@ def event_throughput_loss(w: Duration, t_0: Duration) -> float:
     t_0 = ensure_duration(t_0, "t_0")
     if t_0 == 0.0:
         raise ParameterError("t_0 must be > 0")
-    return w / t_0
+    loss = w / t_0
+    if math.isinf(loss):
+        raise ParameterError(f"window {w} is too large relative to t_0={t_0}")
+    return loss

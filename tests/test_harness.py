@@ -166,6 +166,21 @@ def test_sweep_and_simulate_agree_on_a_window_too_small_for_in_order_arrivals(tm
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("analytic", {"op": "event_throughput_loss", "w": 1e300, "t_0": 1e-300}, "relative to t_0=1e-300"),
+        ("plan", {"slot": 1e-300, "w": 1e300}, "relative to slot 1e-300"),
+    ],
+    ids=["event_throughput_loss", "plan-slot"],
+)
+def test_a_ratio_that_overflows_exits_3(tmp_path, capsys, command, params, message):
+    out = tmp_path / "x.csv"
+    assert main([command, write_cfg(tmp_path, {"kind": command, "params": params}), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"runtime error: window 1e+300 is too large {message}\n"
+    assert not out.exists()
+
+
 def test_a_nan_t_max_is_named_not_blamed_on_t_ab(tmp_path, capsys):
     params = {"op": "conditions_digital_cause", "t_s": 0.01, "t_ab": 0.005, "t_max": math.nan}  # written as NaN
     assert main(["analytic", write_cfg(tmp_path, {"kind": "analytic", "params": params})]) == 3

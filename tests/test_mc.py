@@ -429,6 +429,45 @@ windows = st.one_of(
 )
 
 
+def _dense_chain_tallies(s, twis, trials, seed):
+    """Reference chain tallies: every arrival of every trial stamped with
+    stamp_array, window by window, on each chunk's draws."""
+    tallies = [[0] * s.n for _ in twis]
+    for c, count in mc._chunk_ranges(trials):
+        rng = chunk_rng(seed, c)
+        t = _chain_arrivals(s, rng, count)
+        u = rng.random(count) if any(twi.random_offset for twi in twis) else None
+        for tally, twi in zip(tallies, twis):
+            x = t - t[:, :1] if s.anchor_first_arrival and twi.window > 0.0 else t
+            stamps = stamp_array(x, twi.window, u[:, None] * twi.window if twi.random_offset else twi.offset)
+            ok = stamps[:, 1:] >= stamps[:, :-1]
+            for i, n in enumerate([ok.all(axis=1).sum(), *ok.sum(axis=0)]):
+                tally[i] += int(n)
+    return tallies
+
+
+@given(
+    inputs=st.lists(chain_inputs, min_size=2, max_size=6),
+    tau=st.sampled_from((0.0, 0.1, 0.5)),
+    anchor=st.booleans(),
+    twis=st.lists(windows, min_size=1, max_size=4),
+    trials=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+    threads=st.sampled_from((1, 2)),
+)
+@settings(max_examples=60, deadline=None)
+def test_chain_tallies_equal_those_of_stamping_every_arrival(inputs, tau, anchor, twis, trials, seed, threads):
+    s = CausalChainScenario((tau,) * (len(inputs) - 1), tuple(inputs), anchor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "CHUNK_SIZE", 64)  # several chunks from few trials
+        tallies = mc.chain_tallies(s, twis, trials, seed, threads)
+        assert tallies == _dense_chain_tallies(s, twis, trials, seed)
+        # a window's tallies do not depend on the other windows in the list
+        for twi, tally in zip(twis, tallies):
+            assert mc.chain_tallies(s, [twi], trials, seed, threads) == [tally]
+    assert all(type(n) is int for tally in tallies for n in tally)
+
+
 @given(
     inputs=st.lists(chain_inputs, min_size=1, max_size=6),
     twi=windows,

@@ -140,6 +140,13 @@ def test_validate_twi_on_grid():
     assert validate_twi_on_grid(480 * 62.5e-6, grid)
 
 
+def test_validate_twi_on_grid_names_a_window_whose_slot_count_overflows():
+    # 1e300 / 1e-300 is inf, which round() cannot turn into an int
+    with pytest.raises(ParameterError, match="window 1e\\+300 is too large relative to slot 1e-300"):
+        validate_twi_on_grid(1e300, SlotGrid(1e-300))
+    assert validate_twi_on_grid(1e300, SlotGrid(1e-8))  # 1e308 slots is finite
+
+
 @given(
     t=st.floats(min_value=0.0, max_value=1e4),
     slot=st.floats(min_value=1e-6, max_value=10.0),

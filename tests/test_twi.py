@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ def test_event_throughput_loss():
     assert event_throughput_loss(0.0, 0.010) == 0.0
     with pytest.raises(ParameterError):
         event_throughput_loss(0.020, 0.0)
+
+
+def test_event_throughput_loss_that_overflows_is_a_parameter_error():
+    # w / t_0 is inf; the largest finite ratio still passes
+    with pytest.raises(ParameterError, match="window 1e\\+300 is too large relative to t_0=1e-300"):
+        event_throughput_loss(1e300, 1e-300)
+    assert event_throughput_loss(sys.float_info.max, 1.0) == sys.float_info.max
 
 
 @given(t1=times, t2=times, w=widths)
