@@ -53,7 +53,9 @@ class _Model:
     finitely supported models; continuous models override them with closed
     forms.  Each model draws through one routine, ``sample_into``, which
     takes a fixed count of values from the stream per draw, so that streams
-    replay bit-identically; ``core.sample`` wraps it.
+    replay bit-identically; ``core.sample`` wraps it.  A model whose draws
+    take one or two exact values names them in ``atoms``; a two-atom model
+    also draws which one each draw takes, by ``pick_into``.
     """
 
     kind: ClassVar[str]  # the model's name in configs
@@ -65,6 +67,18 @@ class _Model:
     def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Write ``len(out)`` draws into the contiguous float64 array ``out``,
         say a column of a Fortran-order matrix, and no other memory."""
+        raise NotImplementedError
+
+    def atoms(self) -> Optional[tuple[float, ...]]:
+        """The one or two exact values every draw takes, if the model has so
+        few, else None.  A one-atom model takes no values from the stream."""
+        return None
+
+    def pick_into(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """For a two-atom model: take from ``rng`` the values ``sample_into``
+        takes for ``len(out)`` draws, using the float64 array ``out`` as
+        scratch, and return a boolean array, True where a draw is
+        ``atoms()[0]``."""
         raise NotImplementedError
 
     def expect(self, fn: Callable[[float], float]) -> float:
@@ -98,6 +112,9 @@ class Constant(_Model):
 
     def support(self) -> tuple[float, float]:
         return self.value, self.value
+
+    def atoms(self) -> tuple[float]:
+        return (self.value,)
 
     def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
         out.fill(self.value)
@@ -250,12 +267,20 @@ class TwoPoint(_Model):
             return self.value_a, self.value_a
         return min(self.value_a, self.value_b), max(self.value_a, self.value_b)
 
-    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+    def atoms(self) -> tuple[float, float]:
+        return self.value_a, self.value_b
+
+    def pick_into(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        # the one place the rule is written: a uniform u < p_a takes value_a
         rng.random(out=out)
+        return out < self.p_a
+
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        takes_a = self.pick_into(rng, out)
         # select the value bits without a branch or a gather: mask*(a^b) ^ b
         a, b = np.array((self.value_a, self.value_b), dtype=np.float64).view(np.uint64)
         bits = out.view(np.uint64)
-        np.multiply(out < self.p_a, a ^ b, out=bits)
+        np.multiply(takes_a, a ^ b, out=bits)
         bits ^= b
 
     def expect(self, fn: Callable[[float], float]) -> float:

@@ -7,13 +7,16 @@ returns integer tallies, which ``_map_chunks`` sums in chunk order, so
 estimates are bit-identical for any thread count.  Every chain estimate
 counts through ``chain_tallies`` over a list of windows: W = 0 counts raw
 inversions, W > 0 stamps only the inverted pairs, and chains and fan-outs
-share one too-small-window check, ``_check_window``.
+share one too-small-window check, ``_check_window``.  A W = 0 chain whose
+inputs all have atoms counts its inversions from which atom each input
+took, with no arrival times.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -161,6 +164,67 @@ def _chain_arrivals(
     return t
 
 
+def _inversion_forms(s: CausalChainScenario) -> Optional[list[tuple[bool, bool, bool, bool]]]:
+    """When every input's model has atoms: for each adjacent pair, its 2x2
+    table of arrival atom comparisons as the coefficients (c, a, b, d) of its
+    algebraic normal form.  The pair is inverted iff c ^ (a & p) ^ (b & q) ^
+    (d & p & q), where p and q say that the earlier and the later input took
+    their first atom; a one-atom input's rows are equal, so its p or q is
+    unread.  The atoms get the float operations ``_chain_arrivals`` applies
+    to a draw.  None if an input has no atoms or an arrival atom overflows:
+    then the arrivals are drawn, and a drawn arrival that overflows raises."""
+    arrivals = []
+    for inp, occurs in zip(s.inputs, s.occurrence_offsets()):
+        atoms = inp.model.atoms()
+        if atoms is None:
+            return None
+        a = np.array(atoms)
+        with np.errstate(over="ignore"):
+            if inp.delay:
+                a += inp.delay
+            if occurs:
+                a += occurs
+        if not np.isfinite(a).all():
+            return None
+        arrivals.append(a.tolist())
+    forms = []
+    for first, then in zip(arrivals, arrivals[1:]):
+        (tt, tf), (ft, ff) = [[then[y] < first[x] for y in (0, -1)] for x in (0, -1)]
+        forms.append((ff, tf ^ ff, ft ^ ff, tt ^ tf ^ ft ^ ff))
+    return forms
+
+
+# (a, b) -> the ufunc whose value is (p & q) ^ (a & p) ^ (b & q)
+_WITH_PQ = {
+    (False, False): np.logical_and,
+    (True, False): np.greater,  # p & ~q
+    (False, True): np.less,  # ~p & q
+    (True, True): np.logical_or,
+}
+
+
+def _atom_inversions(
+    s: CausalChainScenario, forms: list[tuple[bool, bool, bool, bool]], rng: np.random.Generator, scratch: np.ndarray
+) -> np.ndarray:
+    """(len(scratch), N-1) raw inversions of adjacent pairs, as
+    ``_chain_arrivals``' draws would give them, from ``rng``'s picks of each
+    two-atom input, in input order, through the float64 column ``scratch``."""
+    picks = [inp.model.pick_into(rng, scratch) if len(inp.model.atoms()) == 2 else None for inp in s.inputs]
+    inverted = np.empty((len(scratch), s.n - 1), dtype=bool, order="F")
+    for col, (c, a, b, d), p, q in zip(inverted.T, forms, picks, picks[1:]):
+        if d:
+            _WITH_PQ[a, b](p, q, out=col)
+            if c:
+                np.logical_not(col, out=col)
+        else:
+            col.fill(c)
+            if a:
+                col ^= p
+            if b:
+                col ^= q
+    return inverted
+
+
 def _offset_fractions(rng: np.random.Generator, count: int, random_offset: bool) -> Optional[np.ndarray]:
     """One offset fraction per trial when a window has a random offset, else
     None.  They are a chunk's last draws, so skipping them changes no other."""
@@ -226,15 +290,27 @@ def chain_tallies(
 
     The window rule is monotone in t, so only a raw-inverted pair can be
     stamped out of order.  Each chunk finds those pairs once: W = 0 counts
-    them, and W > 0 stamps only them, on times anchored once per chunk."""
+    them, and W > 0 stamps only them, on times anchored once per chunk.
+    When every window is W = 0 and every input has atoms, the inversions
+    come from the inputs' atom picks, on the same draws, and no arrival
+    time is formed."""
     random_offset = any(twi.random_offset for twi in twis)
     windowed = any(twi.window > 0.0 for twi in twis)
+    forms = None if windowed else _inversion_forms(s)
+    # one float64 column per worker thread, reused across its chunks: a new
+    # one per chunk cost about a tenth of figure 7's time in page faults
+    scratch = threading.local()
 
     def work(c: int, count: int):
         rng = chunk_rng(seed, c)
-        t = _chain_arrivals(s, rng, count)
-        u = _offset_fractions(rng, count, random_offset)
-        inverted = t[:, 1:] < t[:, :-1]
+        if forms is not None:
+            if not hasattr(scratch, "column"):
+                scratch.column = np.empty(CHUNK_SIZE)
+            inverted = _atom_inversions(s, forms, rng, scratch.column[:count])
+        else:
+            t = _chain_arrivals(s, rng, count)
+            u = _offset_fractions(rng, count, random_offset)
+            inverted = t[:, 1:] < t[:, :-1]
         if windowed:
             a = t - t[:, :1] if s.anchor_first_arrival else t
             # the largest |time| stamped: anchored times can be < 0, arrivals not

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -193,13 +194,23 @@ def test_trial_rng_deterministic(seed, idx):
     assert chunk_rng(seed, idx).random(8).tolist() == chunk_rng(seed, idx).random(8).tolist()
 
 
-def test_the_cli_imports_without_scipy_integrate():
-    # SciPy's quadrature is imported by the first continuous-model expect()
+def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(tmp_path):
+    # SciPy's quadrature is imported by the first continuous-model expect();
+    # its first import costs more memory and CPU than the rest of a command
     src = str(Path(twisim.__file__).resolve().parents[1])
-    code = "import sys, twisim.cli; print('scipy.integrate' in sys.modules)"
+    model = {"kind": "constant", "value": 0.05}
+    receiver = {"w": 0.1, "t_s": 0.05, "tau_s": 0.01, "tau_a": 0.02}
+    params = {"op": "expected_cv_two_input", "cause": "digital", "model": model, **receiver}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "analytic", "params": params}))
+    code = (
+        "import sys, twisim.cli; print('scipy' in sys.modules); "
+        "code = twisim.cli.main(['analytic', sys.argv[1], '--out', sys.argv[2]]); print(code, 'scipy' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout == "False\n"
+    argv = [sys.executable, "-c", code, str(cfg), str(tmp_path / "out.csv")]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "False\n0 False\n"
     assert UniformRange(0.0, 1.0).expect(lambda t: t) == pytest.approx(0.5)
     assert ShiftedExponential(0.5, 2.0).expect(lambda t: t) == pytest.approx(1.0)
 

@@ -589,6 +589,26 @@ def test_a_sweep_width_that_is_no_duration_exits_2(tmp_path, capsys, bad, first)
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_two_point_arrivals_that_overflow_at_w0_exit_3(tmp_path, capsys, threads):
+    # 1.7e308 + 1e308 overflows, so the chain draws its arrivals, and the
+    # first trial that takes value_a raises
+    links = [
+        {"type": "link", "model": {"kind": "two_point", "value_a": 1.7e308, "value_b": 1.0}, "delay": 1e308},
+        {"type": "link", "model": {"kind": "constant", "value": 1.0}},
+    ]
+    cfg = {
+        "kind": "chain_sim",
+        "trials": 70000,
+        "threads": threads,
+        "twi": {"window": 0.0},
+        "scenario": {"action_times": [0.5], "inputs": links},
+    }
+    assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "runtime error: overflow encountered in add\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_a_window_too_small_for_the_arrivals_exits_3(tmp_path, capsys):
     links = [{"type": "link", "model": {"kind": "constant", "value": v}} for v in (2.0, 1.0)]
     cfg = {
@@ -908,6 +928,19 @@ def test_figure_8_csv_is_byte_identical_to_the_recorded_one(tmp_path, threads):
     args = ["reproduce", "--figure", "8", "--trials", "65536", "--seed", "3", "--threads", threads]
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG8_SEED3_SHA256
+
+
+FIG7_SEED3_SHA256 = "ca79d95fef09e977cf1d8d2baecb964be77005b8443649cc3e829f9abcfeda37"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_figure_7_csv_is_byte_identical_to_the_recorded_one(tmp_path, threads):
+    # 70000 trials are two full chunks and a partial one; figure 7's W = 0
+    # chains of two-point inputs count from the atoms each input took
+    out = tmp_path / "f7.csv"
+    args = ["reproduce", "--figure", "7", "--trials", "70000", "--seed", "3", "--threads", threads]
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG7_SEED3_SHA256
 
 
 def test_cli_sweep(tmp_path):

@@ -4,7 +4,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twisim.analytics import TwoInputParams, expected_cv_two_input, p_sim_violation_n
@@ -446,16 +446,55 @@ def _dense_chain_tallies(s, twis, trials, seed):
     return tallies
 
 
+# Models with atoms: two-point ones that always, never or sometimes take
+# value_a, or whose atoms are equal, and constants
+ATOMIC_MODELS = (
+    Constant(0.4),
+    Constant(0.0),
+    TwoPoint(0.1, 1.3, 0.3),
+    TwoPoint(1.3, 0.1, 0.3),
+    TwoPoint(0.1, 1.3, 0.0),
+    TwoPoint(0.1, 1.3, 1.0),
+    TwoPoint(0.5, 0.5, 0.5),
+    TwoPoint(2.0, 1.0, 0.5),
+)
+atomic_inputs = st.one_of(
+    st.builds(ScenarioInput, st.sampled_from(ATOMIC_MODELS), st.sampled_from((0.0, 0.2))),
+    st.builds(
+        sensor, t_s=st.sampled_from((0.25, 0.6)), tau_s=st.sampled_from((0.0, 0.1)), mode=st.just("asynchronous")
+    ),
+)
+
+
 @given(
-    inputs=st.lists(chain_inputs, min_size=2, max_size=6),
+    # all-atomic inputs at W = 0 only count from the atoms each input took
+    inputs=st.one_of(st.lists(chain_inputs, min_size=2, max_size=6), st.lists(atomic_inputs, min_size=2, max_size=6)),
     tau=st.sampled_from((0.0, 0.1, 0.5)),
     anchor=st.booleans(),
-    twis=st.lists(windows, min_size=1, max_size=4),
+    twis=st.one_of(st.lists(windows, min_size=1, max_size=4), st.lists(st.just(TwiSpec(0.0)), min_size=1, max_size=2)),
     trials=st.integers(min_value=1, max_value=300),
     seed=st.integers(min_value=0, max_value=2**32),
     threads=st.sampled_from((1, 2)),
 )
-@settings(max_examples=60, deadline=None)
+@example(
+    inputs=[ScenarioInput(TwoPoint(2.0, 1.0, 0.5))] * 4,
+    tau=0.5,
+    anchor=False,
+    twis=[TwiSpec(0.0)],
+    trials=300,
+    seed=7,
+    threads=2,
+)
+@example(
+    inputs=[ScenarioInput(TwoPoint(0.0, 2.0, 0.5)), ScenarioInput(TwoPoint(3.0, 1.0, 0.5)), ASYNC_SENSOR],
+    tau=0.0,
+    anchor=True,
+    twis=[TwiSpec(0.0), TwiSpec(0.0)],
+    trials=300,
+    seed=7,
+    threads=1,
+)
+@settings(max_examples=80, deadline=None)
 def test_chain_tallies_equal_those_of_stamping_every_arrival(inputs, tau, anchor, twis, trials, seed, threads):
     s = CausalChainScenario((tau,) * (len(inputs) - 1), tuple(inputs), anchor)
     with pytest.MonkeyPatch.context() as mp:
@@ -466,6 +505,29 @@ def test_chain_tallies_equal_those_of_stamping_every_arrival(inputs, tau, anchor
         for twi, tally in zip(twis, tallies):
             assert mc.chain_tallies(s, [twi], trials, seed, threads) == [tally]
     assert all(type(n) is int for tally in tallies for n in tally)
+
+
+def _arrival_draws(monkeypatch, s, twis):
+    """How many times chain_tallies forms arrival times for 100 trials."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _chain_arrivals(*args)
+
+    monkeypatch.setattr(mc, "_chain_arrivals", recording)
+    mc.chain_tallies(s, twis, 100, seed=1)
+    return len(calls)
+
+
+def test_only_w0_chains_of_atomic_inputs_skip_the_arrival_times(monkeypatch):
+    two_point = ScenarioInput(TwoPoint(2.0, 1.0, 0.5))
+    inputs = (two_point, ASYNC_SENSOR, ScenarioInput(Constant(0.3), 0.2), two_point)
+    atomic = CausalChainScenario((0.5, 0.0, 0.1), inputs)
+    assert _arrival_draws(monkeypatch, atomic, [TwiSpec(0.0), TwiSpec(0.0)]) == 0
+    assert _arrival_draws(monkeypatch, atomic, [TwiSpec(0.0), TwiSpec(0.5)]) == 1
+    continuous = CausalChainScenario((0.5, 0.5), (two_point, SYNC_SENSOR, two_point))
+    assert _arrival_draws(monkeypatch, continuous, [TwiSpec(0.0)]) == 1
 
 
 @given(
