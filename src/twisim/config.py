@@ -304,14 +304,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def config_from_json(data: bytes, path: str = "config", **overrides: Any) -> ExperimentConfig:
-    """Parse and validate a config from its UTF-8 JSON bytes; ``path`` names
-    it in errors.  The config's ``sha256`` is the SHA-256 of ``data``."""
+def _parse_json(data: bytes, path: str) -> tuple[Any, str]:
+    """The JSON value of the UTF-8 bytes ``data`` and their SHA-256.  Each
+    buffer is dropped once read: bytes that the caller does not keep are
+    freed before the text is parsed, and the text before a model is built."""
+    sha256 = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
+        del data
         if text.startswith("\ufeff"):  # json.loads's check, which the decoder lacks
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        obj = _DECODER.decode(text)
+        return _DECODER.decode(text), sha256
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -320,14 +323,25 @@ def config_from_json(data: bytes, path: str = "config", **overrides: Any) -> Exp
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
-    return config_from_dict(obj, path, sha256=hashlib.sha256(data).hexdigest(), **overrides)
+
+
+def config_from_json(data: bytes, path: str = "config", **overrides: Any) -> ExperimentConfig:
+    """Parse and validate a config from its UTF-8 JSON bytes; ``path`` names
+    it in errors.  The config's ``sha256`` is the SHA-256 of ``data``."""
+    obj, sha256 = _parse_json(data, path)
+    return config_from_dict(obj, path, sha256=sha256, **overrides)
+
+
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
 
 
 def load_config(path: str, **overrides: Any) -> ExperimentConfig:
-    """Parse and validate a JSON config file; ``overrides`` replace fields."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    return config_from_json(data, path, **overrides)
+    """Parse and validate a JSON config file; ``overrides`` replace fields.
+    The file's bytes are passed on unnamed, so only the parser holds them."""
+    obj, sha256 = _parse_json(_read_bytes(path), path)
+    return config_from_dict(obj, path, sha256=sha256, **overrides)

@@ -4,12 +4,13 @@ Scenarios are causal chains (event i causes event i+1 after a fixed action
 time) and fan-outs (one event perceived through N inputs).  Trials are
 chunked; every chunk derives its random stream from (seed, chunk_index) and
 returns integer tallies, which ``_map_chunks`` sums in chunk order, so
-estimates are bit-identical for any thread count.  Every chain estimate
-counts through ``chain_tallies`` over a list of windows: W = 0 counts raw
-inversions, W > 0 stamps only the inverted pairs, and chains and fan-outs
-share one too-small-window check, ``_check_window``.  A W = 0 chain whose
-inputs all have atoms counts its inversions from which atom each input
-took, with no arrival times.
+estimates are bit-identical for any thread count.  With several threads
+the calling thread runs chunks too, beside a pool of helpers.  Every chain
+estimate counts through ``chain_tallies`` over a list of windows: W = 0
+counts raw inversions, W > 0 stamps only the inverted pairs, and chains and
+fan-outs share one too-small-window check, ``_check_window``.  A W = 0
+chain whose inputs all have atoms counts its inversions from which atom each
+input took, with no arrival times.
 """
 
 from __future__ import annotations
@@ -267,7 +268,13 @@ def _raising_overflow(fn, c: int, count: int):
 def _map_chunks(fn, trials: int, threads: int) -> list[int]:
     """The elementwise sum, in chunk order, of the integer tallies
     fn(c, count) returns as a list for each chunk of ``trials``.  A float
-    overflow inside a chunk raises ``FloatingPointError``."""
+    overflow inside a chunk raises ``FloatingPointError``.
+
+    With more than one worker, the calling thread is one of them, beside a
+    pool of helper threads: each worker claims the next chunk until none is
+    left, and after a chunk fails none claims another.  Chunks are claimed
+    in order, so every chunk below a failed one has run, and the exception
+    raised is that of the lowest-numbered failing chunk, as when serial."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     chunks = list(_chunk_ranges(trials))
@@ -275,9 +282,30 @@ def _map_chunks(fn, trials: int, threads: int) -> list[int]:
     if workers <= 1:
         tallies = [_raising_overflow(fn, c, count) for c, count in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_raising_overflow, fn, c, count) for c, count in chunks]
-            tallies = [f.result() for f in futures]
+        tallies = [None] * len(chunks)
+        failed: dict[int, BaseException] = {}
+        pending = iter(chunks)
+        lock = threading.Lock()
+
+        def work() -> None:
+            while True:
+                with lock:
+                    job = None if failed else next(pending, None)
+                if job is None:
+                    return
+                c, count = job
+                try:
+                    tallies[c] = _raising_overflow(fn, c, count)
+                except BaseException as exc:
+                    with lock:
+                        failed[c] = exc
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            for _ in range(workers - 1):
+                pool.submit(work)
+            work()
+        if failed:
+            raise failed[min(failed)]
     return [int(sum(col)) for col in zip(*tallies)]
 
 
@@ -297,8 +325,10 @@ def chain_tallies(
     random_offset = any(twi.random_offset for twi in twis)
     windowed = any(twi.window > 0.0 for twi in twis)
     forms = None if windowed else _inversion_forms(s)
-    # one float64 column per worker thread, reused across its chunks: a new
-    # one per chunk cost about a tenth of figure 7's time in page faults
+    # one float64 column per thread that runs chunks, the calling thread
+    # among them, reused across its chunks; tallies are summed in chunk order
+    # whichever thread ran them.  A new column per chunk cost about a tenth
+    # of figure 7's time in page faults.
     scratch = threading.local()
 
     def work(c: int, count: int):

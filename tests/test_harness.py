@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import threading
+import tracemalloc
 from dataclasses import MISSING, asdict
 from pathlib import Path
 
@@ -108,6 +109,25 @@ def test_load_config_reports_json_position(tmp_path):
     path.write_text('{"kind": "reproduce", "seed": ' + "9" * 5000 + "}")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(str(path))
+
+
+def test_load_config_frees_the_bytes_and_text_before_building_models(tmp_path):
+    # a 1 MB trace: while it is read, the file's bytes and decoded text
+    # (1x each) would sit beside its parsed floats and the model's tuple
+    trace = np.random.default_rng(4).gamma(2.0, 0.02, 100_000).round(6).tolist()
+    path = tmp_path / "trace.json"
+    link = {"type": "link", "model": {"kind": "empirical", "values": trace}}
+    path.write_text(json.dumps({"kind": "fanout_sim", "scenario": {"inputs": [link]}}))
+    size = path.stat().st_size
+    assert 0.9e6 < size < 1.2e6
+    tracemalloc.start()
+    try:
+        cfg = load_config(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.scenario.inputs[0].model.values == tuple(trace)
+    assert peak - kept <= 2.2 * size
 
 
 @pytest.mark.parametrize(

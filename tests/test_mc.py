@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -389,7 +390,8 @@ def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+        """Stands in for ThreadPoolExecutor: records max_workers, runs inline.
+        The calling thread is a worker too, so the pool holds one fewer."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -415,10 +417,48 @@ def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
     serial = {trials: estimate_chain(s, TwiSpec(0.0), trials, seed=3) for trials in (48, 160)}
     for trials, threads in ((48, 1000), (160, 1000), (160, 2)):
         assert estimate_chain(s, TwiSpec(0.0), trials, seed=3, threads=threads) == serial[trials]
-    assert sizes == [3, 4, 2]
+    # workers: min(threads, chunks, CPUs), the calling thread and its helpers
+    assert [helpers + 1 for helpers in sizes] == [3, 4, 2]
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
     assert estimate_chain(s, TwiSpec(0.0), 160, seed=3, threads=1000) == serial[160]
-    assert sizes == [3, 4, 2]
+    assert [helpers + 1 for helpers in sizes] == [3, 4, 2]
+
+
+def test_the_calling_thread_runs_chunks(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    both = threading.Barrier(2, timeout=10)  # both chunks run at once, one per worker
+    ran = {}
+
+    def fn(c, count):
+        both.wait()
+        ran[c] = threading.get_ident()
+        return [count]
+
+    assert mc._map_chunks(fn, 32, threads=2) == [32]
+    assert sorted(ran) == [0, 1]
+    assert threading.get_ident() in ran.values()
+    assert len(set(ran.values())) == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_the_lowest_failing_chunk_raises_and_no_chunk_is_claimed_after_a_failure(monkeypatch, threads):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    ran = []
+
+    def fn(c, count):
+        ran.append(c)
+        if c in (1, 3):
+            raise ValueError(f"chunk {c}")
+        return [count]
+
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        mc._map_chunks(fn, 6 * 16, threads)
+    # chunks are claimed in order: those that ran are a prefix
+    assert sorted(ran) == list(range(len(ran)))
+    if threads == 1:
+        assert ran == [0, 1]
 
 
 widths = st.sampled_from((0.05, 0.3, 1.5, 4.0))
