@@ -4,13 +4,14 @@ Scenarios are causal chains (event i causes event i+1 after a fixed action
 time) and fan-outs (one event perceived through N inputs).  Trials are
 chunked; every chunk derives its random stream from (seed, chunk_index) and
 returns integer tallies, which ``_map_chunks`` sums in chunk order, so
-estimates are bit-identical for any thread count.  With several threads
-the calling thread runs chunks too, beside a pool of helpers.  Every chain
-estimate counts through ``chain_tallies`` over a list of windows: W = 0
-counts raw inversions, W > 0 stamps only the inverted pairs, and chains and
-fan-outs share one too-small-window check, ``_check_window``.  A W = 0
-chain whose inputs all have atoms counts its inversions from which atom each
-input took, with no arrival times.
+estimates are bit-identical for any thread count.  The calling thread runs
+chunks beside plain helper threads, one worker per usable CPU at most, and
+each worker sets NumPy to raise on overflow once, for all its chunks.
+Every chain estimate counts through ``chain_tallies`` over a list of
+windows: W = 0 counts raw inversions, W > 0 stamps only the inverted pairs,
+and chains and fan-outs share one too-small-window check,
+``_check_window``.  A W = 0 chain whose inputs all have atoms counts its
+inversions from which atom each input took, with no arrival times.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from threading import Thread
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -258,11 +259,12 @@ def _chunk_ranges(trials: int):
         yield c, min(CHUNK_SIZE, trials - start)
 
 
-def _raising_overflow(fn, c: int, count: int):
-    """fn(c, count) with float overflow raised, not warned about and stored
-    as inf.  NumPy's error state is per thread, so it is set per chunk."""
-    with np.errstate(over="raise"):
-        return fn(c, count)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_chunks(fn, trials: int, threads: int) -> list[int]:
@@ -270,24 +272,24 @@ def _map_chunks(fn, trials: int, threads: int) -> list[int]:
     fn(c, count) returns as a list for each chunk of ``trials``.  A float
     overflow inside a chunk raises ``FloatingPointError``.
 
-    With more than one worker, the calling thread is one of them, beside a
-    pool of helper threads: each worker claims the next chunk until none is
-    left, and after a chunk fails none claims another.  Chunks are claimed
-    in order, so every chunk below a failed one has run, and the exception
-    raised is that of the lowest-numbered failing chunk, as when serial."""
+    The calling thread is one of min(threads, chunks, usable CPUs) workers,
+    beside plain helper threads it starts and joins: each worker claims the
+    next chunk until none is left, and after a chunk fails none claims
+    another.  Chunks are claimed in order, so every chunk below a failed one
+    has run, and the exception raised is that of the lowest-numbered failing
+    chunk, whatever the thread count."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     chunks = list(_chunk_ranges(trials))
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
-    if workers <= 1:
-        tallies = [_raising_overflow(fn, c, count) for c, count in chunks]
-    else:
-        tallies = [None] * len(chunks)
-        failed: dict[int, BaseException] = {}
-        pending = iter(chunks)
-        lock = threading.Lock()
+    tallies = [None] * len(chunks)
+    failed: dict[int, BaseException] = {}
+    pending = iter(chunks)
+    lock = threading.Lock()
 
-        def work() -> None:
+    def work() -> None:
+        # NumPy's error state is per thread: each worker raises on overflow,
+        # and the caller's own state is restored when it leaves
+        with np.errstate(over="raise"):
             while True:
                 with lock:
                     job = None if failed else next(pending, None)
@@ -295,17 +297,20 @@ def _map_chunks(fn, trials: int, threads: int) -> list[int]:
                     return
                 c, count = job
                 try:
-                    tallies[c] = _raising_overflow(fn, c, count)
+                    tallies[c] = fn(c, count)
                 except BaseException as exc:
                     with lock:
                         failed[c] = exc
 
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            for _ in range(workers - 1):
-                pool.submit(work)
-            work()
-        if failed:
-            raise failed[min(failed)]
+    workers = min(threads, len(chunks), _usable_cpus())
+    helpers = [Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failed:
+        raise failed[min(failed)]
     return [int(sum(col)) for col in zip(*tallies)]
 
 

@@ -196,7 +196,9 @@ def test_trial_rng_deterministic(seed, idx):
 
 def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(tmp_path):
     # SciPy's quadrature is imported by the first continuous-model expect();
-    # its first import costs more memory and CPU than the rest of a command
+    # its first import costs more memory and CPU than the rest of a command.
+    # Monte-Carlo threads are plain threads: no executor, and so no
+    # concurrent.futures or logging, in any twisim process.
     src = str(Path(twisim.__file__).resolve().parents[1])
     model = {"kind": "constant", "value": 0.05}
     receiver = {"w": 0.1, "t_s": 0.05, "tau_s": 0.01, "tau_a": 0.02}
@@ -204,13 +206,17 @@ def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "analytic", "params": params}))
     code = (
-        "import sys, twisim.cli; print('scipy' in sys.modules); "
-        "code = twisim.cli.main(['analytic', sys.argv[1], '--out', sys.argv[2]]); print(code, 'scipy' in sys.modules)"
+        "import sys, twisim.cli\n"
+        "def unimported(): return [name not in sys.modules for name in ('scipy', 'concurrent.futures', 'logging')]\n"
+        "print(unimported())\n"
+        "print(twisim.cli.main(['analytic', sys.argv[1], '--out', sys.argv[2] + '/analytic.csv']), unimported())\n"
+        "mc = ['reproduce', '--figure', '7', '--trials', '65536', '--threads', '2', '--out', sys.argv[2] + '/fig7.csv']\n"
+        "print(twisim.cli.main(mc), unimported())\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-c", code, str(cfg), str(tmp_path / "out.csv")]
+    argv = [sys.executable, "-c", code, str(cfg), str(tmp_path)]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
-    assert out.stdout == "False\n0 False\n"
+    assert out.stdout == "[True, True, True]\n0 [True, True, True]\n0 [True, True, True]\n"
     assert UniformRange(0.0, 1.0).expect(lambda t: t) == pytest.approx(0.5)
     assert ShiftedExponential(0.5, 2.0).expect(lambda t: t) == pytest.approx(1.0)
 

@@ -609,7 +609,7 @@ def test_a_sweep_width_that_is_no_duration_exits_2(tmp_path, capsys, bad, first)
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_two_point_arrivals_that_overflow_at_w0_exit_3(tmp_path, capsys, threads):
     # 1.7e308 + 1e308 overflows, so the chain draws its arrivals, and the
     # first trial that takes value_a raises

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -386,47 +385,68 @@ def test_sweep_counts_violated_trials_not_pairs(threads):
     assert 0.45 < dense.p_hat < 0.55  # both pairs share a window with probability 1 - 2/4
 
 
+def _usable_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, as mc reads them from its affinity."""
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_worker_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
-    sizes = []
+    targets = []
 
-    class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records max_workers, runs inline.
-        The calling thread is a worker too, so the pool holds one fewer."""
+    class RecordingThread:
+        """Stands in for threading.Thread: records its target, runs it inline.
+        The calling thread is a worker too, so a call makes one helper fewer
+        than it has workers, each helper with the call's own target."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, target):
+            targets.append(target)
+            self.target = target
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target()
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def submit(self, fn, *args):
-            f = Future()
-            f.set_result(fn(*args))
-            return f
+    def sizes():
+        return [targets.count(t) for t in dict.fromkeys(targets)]
 
     s = CausalChainScenario(
         action_times=(0.5,),
         inputs=(ScenarioInput(ShiftedExponential(0.0, 2.0)),) * 2,
     )
     monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(mc, "Thread", RecordingThread)
+    _usable_cpus(monkeypatch, 4)
     serial = {trials: estimate_chain(s, TwiSpec(0.0), trials, seed=3) for trials in (48, 160)}
     for trials, threads in ((48, 1000), (160, 1000), (160, 2)):
         assert estimate_chain(s, TwiSpec(0.0), trials, seed=3, threads=threads) == serial[trials]
     # workers: min(threads, chunks, CPUs), the calling thread and its helpers
-    assert [helpers + 1 for helpers in sizes] == [3, 4, 2]
+    assert [helpers + 1 for helpers in sizes()] == [3, 4, 2]
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
     assert estimate_chain(s, TwiSpec(0.0), 160, seed=3, threads=1000) == serial[160]
-    assert [helpers + 1 for helpers in sizes] == [3, 4, 2]
+    assert [helpers + 1 for helpers in sizes()] == [3, 4, 2]
+
+
+def test_no_helper_thread_starts_on_one_usable_cpu(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)  # the machine has more than the process may use
+    before = threading.active_count()
+    seen = []
+
+    def fn(c, count):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return [count]
+
+    assert mc._map_chunks(fn, 4 * 16, threads=4) == [64]
+    assert seen == [(threading.get_ident(), before)] * 4
 
 
 def test_the_calling_thread_runs_chunks(monkeypatch):
     monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     both = threading.Barrier(2, timeout=10)  # both chunks run at once, one per worker
     ran = {}
 
@@ -441,10 +461,34 @@ def test_the_calling_thread_runs_chunks(monkeypatch):
     assert len(set(ran.values())) == 2
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_callers_numpy_error_state_is_restored(monkeypatch, threads, fails):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
+    _usable_cpus(monkeypatch, 2)
+    overflow = []
+
+    def fn(c, count):
+        overflow.append(np.geterr()["over"])
+        if fails and c == 1:
+            raise ValueError("chunk 1")
+        return [count]
+
+    with np.errstate(all="ignore", over="warn"):
+        state = np.geterr()
+        if fails:
+            with pytest.raises(ValueError, match="^chunk 1$"):
+                mc._map_chunks(fn, 4 * 16, threads)
+        else:
+            assert mc._map_chunks(fn, 4 * 16, threads) == [64]
+        assert np.geterr() == state
+    assert overflow and set(overflow) == {"raise"}
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_the_lowest_failing_chunk_raises_and_no_chunk_is_claimed_after_a_failure(monkeypatch, threads):
     monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    _usable_cpus(monkeypatch, 3)
     ran = []
 
     def fn(c, count):
