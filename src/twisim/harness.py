@@ -20,11 +20,14 @@ import time
 from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
+import numpy as np
+
 from twisim import __version__, analytics, bounds, planner
 from twisim.config import ConfigError, ExperimentConfig, read_params
 from twisim.core import Constant, ShiftedExponential, TwoPoint, _shown
 from twisim.inputs import ScenarioInput
 from twisim.mc import (
+    CHUNK_SIZE,
     CausalChainScenario,
     FanOutScenario,
     ViolationEstimate,
@@ -32,6 +35,8 @@ from twisim.mc import (
     estimate_chain,
     estimate_no_violation_sweep,
     estimate_sim_violation,
+    _usable_cpus,
+    _workers,
 )
 from twisim.twi import TwiSpec, event_throughput_loss
 
@@ -360,6 +365,17 @@ def _git_describe() -> str:
         return ""
 
 
+@functools.cache
+def _versions() -> dict:
+    """The Python and NumPy versions, read once per process; ``platform``
+    is not imported for them."""
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
+
+
+# The kinds that run Monte-Carlo chunks; their manifests count chunks and workers.
+_MONTE_CARLO_KINDS = ("chain_sim", "fanout_sim", "bounds_check", "reproduce")
+
+
 def _rewrite(path: str, text: str) -> None:
     """Write text to path in UTF-8, over the file's old bytes, then cut the
     file to length.  The bytes go out in one ``os.write`` (again on a short
@@ -399,7 +415,14 @@ def write_outputs(cfg: ExperimentConfig, rows, out_path: Optional[str], wall_tim
         "git_describe": _git_describe(),
         "wall_time_s": wall_time,
         "package_version": __version__,
+        # read at each write: a process may change its affinity between runs
+        "cpus": _usable_cpus(),
+        **_versions(),
     }
+    if cfg.kind in _MONTE_CARLO_KINDS:
+        # every estimator call of a run splits cfg.trials into these chunks
+        chunks = -(-cfg.trials // CHUNK_SIZE)
+        manifest.update(chunks=chunks, workers=_workers(cfg.threads, chunks))
     # json.dumps(manifest, indent=2, sort_keys=True) for a flat dict, but in
     # the C encoder: indent runs json's pure-Python one
     fields = json.dumps(manifest, sort_keys=True, separators=(",\n  ", ": "))

@@ -267,6 +267,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(threads: int, chunks: int) -> int:
+    """How many workers ``_map_chunks`` runs ``chunks`` chunks on."""
+    return min(threads, chunks, _usable_cpus())
+
+
 def _map_chunks(fn, trials: int, threads: int) -> list[int]:
     """The elementwise sum, in chunk order, of the integer tallies
     fn(c, count) returns as a list for each chunk of ``trials``.  A float
@@ -302,8 +307,7 @@ def _map_chunks(fn, trials: int, threads: int) -> list[int]:
                     with lock:
                         failed[c] = exc
 
-    workers = min(threads, len(chunks), _usable_cpus())
-    helpers = [Thread(target=work) for _ in range(workers - 1)]
+    helpers = [Thread(target=work) for _ in range(_workers(threads, len(chunks)) - 1)]
     for helper in helpers:
         helper.start()
     work()

@@ -1,9 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from twisim import core
 
 from twisim.analytics import (
     TwoInputParams,
@@ -384,3 +388,73 @@ def test_reference_cases_reach_the_ramp_edges():
     assert (base - (base + p.t_s - p.w)) + p.t_s == p.w
     for cause in ("physical", "digital"):
         assert repr(expected_cv_two_input(p, model, cause)) == repr(_reference_expected_cv(p, model, cause))
+
+
+# ---------------------------------------------------------------------------
+# QUADPACK, loaded on its own, against scipy.integrate.quad
+# ---------------------------------------------------------------------------
+
+# README's known limitation: the ramp is nonzero only on a short stretch past
+# the exponential's shift, and QUADPACK's first nodes all miss it
+QUAD_ZERO = (TwoInputParams(0.06267, 0.06283, 0.00821, 0.0, math.inf, 0.22750), ShiftedExponential(0.08289, 0.95984))
+# QUADPACK gives up on this one with ier = 5 ("probably divergent")
+QUAD_IER = (
+    TwoInputParams(0.000715822818481951, 0.0020537198488175894, 0.0006678363134139153, 0.0, math.inf, 0.0),
+    UniformRange(0.0, 0.003453921076100751),
+)
+
+
+def _scipy_quad(fn, a, b):
+    """core._quad as scipy.integrate.quad computes it."""
+    from scipy import integrate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(fn, a, b, limit=200)[0]
+
+
+continuous_models = st.one_of(
+    st.builds(lambda low, width: UniformRange(low, low + width), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(ShiftedExponential, st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.floats(1e-3, 1e3)),
+)
+
+
+@given(
+    p=st.builds(
+        TwoInputParams,
+        t_s=st.floats(1e-4, 1.0),
+        tau_s=st.floats(0.0, 1.0),
+        tau_a=st.floats(0.0, 1.0),
+        t_min=st.just(0.0),
+        t_max=st.just(math.inf),
+        w=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    ),
+    model=continuous_models,
+    cause=st.sampled_from(("physical", "digital")),
+)
+@example(p=QUAD_ZERO[0], model=QUAD_ZERO[1], cause="physical")
+@example(p=QUAD_IER[0], model=QUAD_IER[1], cause="digital")
+@example(p=QUAD_ZERO[0], model=ShiftedExponential(0.0, 1e-310), cause="digital")  # cut-off at +inf: QAGI
+@settings(max_examples=200, deadline=None)
+def test_expected_cv_through_quadpack_equals_it_through_scipy_quad(p, model, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        value = expected_cv_two_input(p, model, cause)
+    with mock.patch.object(core, "_quad", _scipy_quad):
+        expected = expected_cv_two_input(p, model, cause)
+    assert repr(value) == repr(expected)
+
+
+def test_the_known_quad_zero_case_still_reads_zero():
+    assert repr(expected_cv_two_input(*QUAD_ZERO, "physical")) == "0.0"
+
+
+def test_a_nonzero_quadpack_error_code_warns_as_quad_does():
+    from scipy import integrate
+
+    with pytest.warns(RuntimeWarning, match="ier=5"):
+        value = expected_cv_two_input(*QUAD_IER, "digital")
+    with pytest.warns(integrate.IntegrationWarning), mock.patch.object(
+        core, "_quad", lambda fn, a, b: integrate.quad(fn, a, b, limit=200)[0]
+    ):
+        assert repr(expected_cv_two_input(*QUAD_IER, "digital")) == repr(value)

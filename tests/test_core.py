@@ -195,28 +195,58 @@ def test_trial_rng_deterministic(seed, idx):
 
 
 def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(tmp_path):
-    # SciPy's quadrature is imported by the first continuous-model expect();
-    # its first import costs more memory and CPU than the rest of a command.
-    # Monte-Carlo threads are plain threads: no executor, and so no
-    # concurrent.futures or logging, in any twisim process.
+    # The first continuous-model expect() loads SciPy's compiled QUADPACK
+    # module on its own: importing scipy.integrate to reach it costs more
+    # memory and CPU than the rest of a command.  Monte-Carlo threads are
+    # plain threads: no executor, and so no concurrent.futures or logging,
+    # in any twisim process.
     src = str(Path(twisim.__file__).resolve().parents[1])
-    model = {"kind": "constant", "value": 0.05}
     receiver = {"w": 0.1, "t_s": 0.05, "tau_s": 0.01, "tau_a": 0.02}
-    params = {"op": "expected_cv_two_input", "cause": "digital", "model": model, **receiver}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "analytic", "params": params}))
+
+    def analytic(name, model, cause):
+        params = {"op": "expected_cv_two_input", "cause": cause, "model": model, **receiver}
+        (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "analytic", "params": params}))
+        return str(tmp_path / name)
+
+    cfg = analytic("cfg", {"kind": "constant", "value": 0.05}, "digital")
+    continuous = [
+        analytic(f"{kind}-{cause}", model, cause)
+        for kind, model in (
+            ("uniform", {"kind": "uniform", "low": 0.01, "high": 0.2}),
+            ("exponential", {"kind": "shifted_exponential", "shift": 0.005, "rate": 40.0}),
+        )
+        for cause in ("physical", "digital")
+    ]
     code = (
         "import sys, twisim.cli\n"
         "def unimported(): return [name not in sys.modules for name in ('scipy', 'concurrent.futures', 'logging')]\n"
         "print(unimported())\n"
-        "print(twisim.cli.main(['analytic', sys.argv[1], '--out', sys.argv[2] + '/analytic.csv']), unimported())\n"
+        "print(twisim.cli.main(['analytic', sys.argv[1] + '.json', '--out', sys.argv[2] + '/analytic.csv']), unimported())\n"
         "mc = ['reproduce', '--figure', '7', '--trials', '65536', '--threads', '2', '--out', sys.argv[2] + '/fig7.csv']\n"
         "print(twisim.cli.main(mc), unimported())\n"
+        "print([twisim.cli.main(['analytic', name + '.json', '--out', name + '.csv']) for name in sys.argv[3:]])\n"
+        "print([name for name in sys.modules if name.split('.')[:2] == ['scipy', 'integrate']])\n"
+    )
+    # the same runs, with the integral taken by scipy.integrate.quad
+    by_quad = (
+        "import sys, scipy.integrate, twisim.cli, twisim.core\n"
+        "twisim.core._quad = lambda fn, a, b: scipy.integrate.quad(fn, a, b, limit=200)[0]\n"
+        "print([twisim.cli.main(['analytic', name + '.json', '--out', name + '.quad.csv']) for name in sys.argv[3:]])\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-c", code, str(cfg), str(tmp_path)]
-    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
-    assert out.stdout == "[True, True, True]\n0 [True, True, True]\n0 [True, True, True]\n"
+    for script, expected in (
+        (code, "[True, True, True]\n0 [True, True, True]\n0 [True, True, True]\n[0, 0, 0, 0]\n[]\n"),
+        (by_quad, "[0, 0, 0, 0]\n"),
+    ):
+        argv = [sys.executable, "-c", script, cfg, str(tmp_path), *continuous]
+        out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+        assert (out.stdout, out.stderr) == (expected, "")
+    values = set()
+    for name in continuous:
+        csv = Path(name + ".csv").read_bytes()
+        assert csv == Path(name + ".quad.csv").read_bytes()
+        values.add(float(csv.split(b",")[-1]))
+    assert len(values) == 4 and 0.0 < min(values) and max(values) < 1.0
     assert UniformRange(0.0, 1.0).expect(lambda t: t) == pytest.approx(0.5)
     assert ShiftedExponential(0.5, 2.0).expect(lambda t: t) == pytest.approx(1.0)
 

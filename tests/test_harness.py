@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import threading
@@ -400,6 +401,40 @@ def test_cli_simulate_writes_csv_and_manifest(tmp_path):
     assert manifest["trials"] == 2000
     assert len(manifest["config_sha256"]) == 64
     assert manifest["package_version"] == twisim.__version__
+
+
+def test_a_manifest_records_python_numpy_and_the_usable_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    out = tmp_path / "a.csv"
+    assert main(["analytic", write_cfg(tmp_path, ANALYTIC_CFG), "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
+    assert manifest["cpus"] == 3
+    assert "chunks" not in manifest and "workers" not in manifest  # an analytic run draws nothing
+
+
+@pytest.mark.parametrize(
+    "trials, threads, cpus, chunks, workers",
+    [(70_000, 4, 3, 3, 3), (70_000, 2, 3, 3, 2), (2000, 4, 3, 1, 1), (200_000, 4, 2, 7, 2)],
+)
+def test_a_monte_carlo_manifest_counts_the_chunks_and_the_workers_that_ran(
+    tmp_path, monkeypatch, trials, threads, cpus, chunks, workers
+):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    helpers = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(mc, "Thread", Recording)
+    out = tmp_path / "a.csv"
+    argv = ["simulate", write_cfg(tmp_path, CHAIN_CFG), "--trials", str(trials), "--threads", str(threads)]
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert (manifest["cpus"], manifest["chunks"], manifest["workers"]) == (cpus, chunks, workers)
+    assert len(helpers) + 1 == workers  # one estimator call: the caller and its helpers
 
 
 def _receiver_chain_cfg(cause, tau_a, w, trials):
