@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 from twisim.core import (
     Duration,
     Empirical,
@@ -28,6 +26,7 @@ from twisim.core import (
     TimePoint,
     TransmissionTimeModel,
     ensure_duration,
+    np,
 )
 
 

@@ -15,12 +15,28 @@ import math
 import os
 import reprlib
 import sys
+import types
 import warnings
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, ClassVar, Iterable, Optional, Union
 
-import numpy as np
+
+class _Deferred(types.ModuleType):
+    """A module that is imported when one of its attributes is first read.
+
+    Each attribute read is stored on this object, so later reads are plain
+    lookups.  ``import_module`` holds the module's import lock, so threads
+    that read at once all get the module fully built."""
+
+    def __getattr__(self, name: str):
+        value = getattr(importlib.import_module(self.__name__), name)
+        setattr(self, name, value)
+        return value
+
+
+# NumPy loads at the first array a command needs; twisim's modules take np from here
+np = _Deferred("numpy")
 
 TimePoint = float
 Duration = float
@@ -70,6 +86,17 @@ def _quadpack():
     spec.loader.exec_module(module)
     sys.modules.pop(name, None)
     return module
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """SciPy's version, from its ``version.py`` loaded on its own, for a
+    process that has run ``_quadpack`` but not imported the package."""
+    package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location("scipy.version", os.path.join(package, "version.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
 
 
 def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
@@ -258,6 +285,8 @@ class ShiftedExponential(_Model):
         # integrate the excess over an effectively full tail
         shift, rate = self.shift, self.rate
         upper = shift + 50.0 / rate
+        if upper == shift:  # the tail is below half an ulp of shift: a point mass there
+            return fn(shift)
 
         def weighted(x: float) -> float:
             return fn(x) * rate * math.exp(-rate * (x - shift))

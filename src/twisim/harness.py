@@ -20,11 +20,9 @@ import time
 from dataclasses import MISSING, astuple
 from typing import Optional, Sequence
 
-import numpy as np
-
 from twisim import __version__, analytics, bounds, planner
 from twisim.config import ConfigError, ExperimentConfig, read_params
-from twisim.core import Constant, ShiftedExponential, TwoPoint, _shown
+from twisim.core import Constant, ShiftedExponential, TwoPoint, _quadpack, _scipy_version, _shown
 from twisim.inputs import ScenarioInput
 from twisim.mc import (
     CHUNK_SIZE,
@@ -365,11 +363,19 @@ def _git_describe() -> str:
         return ""
 
 
-@functools.cache
 def _versions() -> dict:
-    """The Python and NumPy versions, read once per process; ``platform``
-    is not imported for them."""
-    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
+    """Python's version, and NumPy's and SciPy's where this process has
+    loaded their code, read at each write: an earlier run in the process may
+    have loaded either.  Nothing is imported for them, ``platform`` neither;
+    QUADPACK loads without the ``scipy`` package, so its version is then
+    read from SciPy's files."""
+    versions = {"python": "%d.%d.%d" % sys.version_info[:3]}
+    for name in ("numpy", "scipy"):
+        if name in sys.modules:
+            versions[name] = sys.modules[name].__version__
+    if "scipy" not in versions and _quadpack.cache_info().currsize:
+        versions["scipy"] = _scipy_version()
+    return versions
 
 
 # The kinds that run Monte-Carlo chunks; their manifests count chunks and workers.

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from twisim.core import (
     Constant,
     Duration,
@@ -24,6 +22,7 @@ from twisim.core import (
     UniformRange,
     _shown,
     ensure_duration,
+    np,
     sample,
     validate_model,
 )

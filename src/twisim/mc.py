@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from threading import Thread
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from twisim.core import (
     Duration,
     ParameterError,
@@ -33,6 +31,7 @@ from twisim.core import (
     _shown,
     chunk_rng,
     ensure_duration,
+    np,
     sample,
 )
 from twisim.analytics import TwoInputParams, _check_cause
@@ -196,12 +195,12 @@ def _inversion_forms(s: CausalChainScenario) -> Optional[list[tuple[bool, bool, 
     return forms
 
 
-# (a, b) -> the ufunc whose value is (p & q) ^ (a & p) ^ (b & q)
+# (a, b) -> the name of the ufunc whose value is (p & q) ^ (a & p) ^ (b & q)
 _WITH_PQ = {
-    (False, False): np.logical_and,
-    (True, False): np.greater,  # p & ~q
-    (False, True): np.less,  # ~p & q
-    (True, True): np.logical_or,
+    (False, False): "logical_and",
+    (True, False): "greater",  # p & ~q
+    (False, True): "less",  # ~p & q
+    (True, True): "logical_or",
 }
 
 
@@ -215,7 +214,7 @@ def _atom_inversions(
     inverted = np.empty((len(scratch), s.n - 1), dtype=bool, order="F")
     for col, (c, a, b, d), p, q in zip(inverted.T, forms, picks, picks[1:]):
         if d:
-            _WITH_PQ[a, b](p, q, out=col)
+            getattr(np, _WITH_PQ[a, b])(p, q, out=col)
             if c:
                 np.logical_not(col, out=col)
         else:

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
-from twisim.core import Duration, ParameterError, TimePoint, ensure_duration
+from twisim.core import Duration, ParameterError, TimePoint, ensure_duration, np
 
 
 @dataclass(frozen=True)

@@ -449,6 +449,15 @@ def test_the_known_quad_zero_case_still_reads_zero():
     assert repr(expected_cv_two_input(*QUAD_ZERO, "physical")) == "0.0"
 
 
+def test_an_exponential_tail_below_an_ulp_of_its_shift_is_a_point_mass():
+    # shift + 50 / rate == shift: the model is Constant(shift) to 1e-18, and
+    # quadrature over the empty interval [shift, shift] would read 0
+    p = params(t_s=0.05, tau_s=0.01, tau_a=0.02, t_min=0.0, t_max=math.inf, w=0.1)
+    narrow = ShiftedExponential(1.0, 1e18)
+    assert expected_cv_two_input(p, narrow, "digital") == expected_cv_two_input(p, Constant(1.0), "digital") == 1.0
+    assert narrow.expect(lambda t: t) == 1.0
+
+
 def test_a_nonzero_quadpack_error_code_warns_as_quad_does():
     from scipy import integrate
 

@@ -142,3 +142,59 @@ def test_the_entry_point_exits_2_on_a_usage_error():
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: twisim ")
     assert "Traceback" not in proc.stderr
+
+
+# Runs each argv in turn through main in one fresh interpreter (pytest's own
+# has NumPy loaded) and prints whether NumPy is loaded after the import of
+# twisim.cli and after each run, with the run's exit code.
+NUMPY_AFTER = (
+    "import json, sys, twisim.cli\n"
+    "seen = ['numpy' in sys.modules]\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    seen.append([twisim.cli.main(argv), 'numpy' in sys.modules])\n"
+    "print(json.dumps(seen))\n"
+)
+
+PARAMETRIC_MODELS = {
+    "constant": {"kind": "constant", "value": 0.05},
+    "two_point": {"kind": "two_point", "value_a": 0.01, "value_b": 0.05, "p_a": 0.3},
+    "uniform": {"kind": "uniform", "low": 0.01, "high": 0.2},
+    "shifted_exponential": {"kind": "shifted_exponential", "shift": 0.005, "rate": 40.0},
+}
+
+
+def _numpy_after(tmp_path, runs):
+    env = {**os.environ, "PYTHONPATH": str(Path(twisim.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", NUMPY_AFTER, json.dumps(runs)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, cwd=tmp_path, env=env)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _analytic(tmp_path, name, model):
+    params = {"op": "expected_cv_two_input", "t_s": 0.05, "tau_s": 0.01, "tau_a": 0.02, "w": 0.1, "model": model}
+    (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "analytic", "params": params}))
+    return ["analytic", f"{name}.json", "--out", f"{name}.csv"]
+
+
+def test_commands_without_arrays_leave_numpy_unimported(tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps({"kind": "analytic", "bogus": 1}))
+    runs = [["-h"], ["analytic", "bad.json"]]
+    runs += [_analytic(tmp_path, name, PARAMETRIC_MODELS[name]) for name in ("constant", "two_point")]
+    for name, model in PARAMETRIC_MODELS.items():
+        (tmp_path / f"plan-{name}.json").write_text(json.dumps({"kind": "plan", "params": {"model": model, "w": 0.02}}))
+        runs.append(["plan", f"plan-{name}.json", "--out", f"plan-{name}.csv"])
+    assert _numpy_after(tmp_path, runs) == [False, [0, False], [2, False]] + [[0, False]] * 6
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda tmp_path: _analytic(tmp_path, "uniform", PARAMETRIC_MODELS["uniform"]),
+        lambda tmp_path: _analytic(tmp_path, "empirical", {"kind": "empirical", "values": [0.01, 0.04, 0.2]}),
+        # NumPy's first use is then inside the chunk threads
+        lambda tmp_path: ["reproduce", "--figure", "8", "--trials", "65536", "--threads", "2", "--out", "fig8.csv"],
+    ],
+    ids=["quadrature", "empirical", "monte-carlo"],
+)
+def test_commands_with_arrays_load_numpy(tmp_path, run):
+    assert _numpy_after(tmp_path, [run(tmp_path)]) == [False, [0, True]]

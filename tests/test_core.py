@@ -197,7 +197,8 @@ def test_trial_rng_deterministic(seed, idx):
 def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(tmp_path):
     # The first continuous-model expect() loads SciPy's compiled QUADPACK
     # module on its own: importing scipy.integrate to reach it costs more
-    # memory and CPU than the rest of a command.  Monte-Carlo threads are
+    # memory and CPU than the rest of a command.  NumPy loads at the first
+    # array, here the Monte-Carlo run's, not before.  Monte-Carlo threads are
     # plain threads: no executor, and so no concurrent.futures or logging,
     # in any twisim process.
     src = str(Path(twisim.__file__).resolve().parents[1])
@@ -219,7 +220,8 @@ def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(
     ]
     code = (
         "import sys, twisim.cli\n"
-        "def unimported(): return [name not in sys.modules for name in ('scipy', 'concurrent.futures', 'logging')]\n"
+        "def unimported():\n"
+        "    return [name not in sys.modules for name in ('numpy', 'scipy', 'concurrent.futures', 'logging')]\n"
         "print(unimported())\n"
         "print(twisim.cli.main(['analytic', sys.argv[1] + '.json', '--out', sys.argv[2] + '/analytic.csv']), unimported())\n"
         "mc = ['reproduce', '--figure', '7', '--trials', '65536', '--threads', '2', '--out', sys.argv[2] + '/fig7.csv']\n"
@@ -235,7 +237,7 @@ def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(
     )
     env = {**os.environ, "PYTHONPATH": src}
     for script, expected in (
-        (code, "[True, True, True]\n0 [True, True, True]\n0 [True, True, True]\n[0, 0, 0, 0]\n[]\n"),
+        (code, "[True, True, True, True]\n0 [True, True, True, True]\n0 [False, True, True, True]\n[0, 0, 0, 0]\n[]\n"),
         (by_quad, "[0, 0, 0, 0]\n"),
     ):
         argv = [sys.executable, "-c", script, cfg, str(tmp_path), *continuous]
@@ -249,6 +251,29 @@ def test_the_cli_and_an_analytic_run_on_a_constant_model_leave_scipy_unimported(
     assert len(values) == 4 and 0.0 < min(values) and max(values) < 1.0
     assert UniformRange(0.0, 1.0).expect(lambda t: t) == pytest.approx(0.5)
     assert ShiftedExponential(0.5, 2.0).expect(lambda t: t) == pytest.approx(1.0)
+
+
+def test_threads_that_first_read_numpy_at_once_all_get_it_fully_built():
+    # Monte-Carlo chunk threads can be the first to touch NumPy, side by
+    # side; each must wait for one complete import, not see a module half
+    # built.  A fresh interpreter, since pytest's has NumPy loaded.
+    code = (
+        "import sys, threading, twisim.core as core\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "start, sums = threading.Barrier(8), []\n"
+        "def first_read():\n"
+        "    start.wait()\n"
+        "    sums.append(float(core.np.ones(4).sum()))\n"
+        "threads = [threading.Thread(target=first_read) for _ in range(8)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(60)\n"
+        "import numpy\n"
+        "print(sums, [thread.is_alive() for thread in threads].count(True), core.np.ones is numpy.ones)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(twisim.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (out.stdout, out.stderr) == (f"{[4.0] * 8} 0 True\n", "")
 
 
 moderate = st.floats(min_value=0.0, max_value=1e6)

@@ -5,6 +5,7 @@ import os
 import platform
 import re
 import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import MISSING, asdict
@@ -411,6 +412,45 @@ def test_a_manifest_records_python_numpy_and_the_usable_cpus(tmp_path, monkeypat
     assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
     assert manifest["cpus"] == 3
     assert "chunks" not in manifest and "workers" not in manifest  # an analytic run draws nothing
+
+
+# Runs each argv in turn in one fresh interpreter, reads the numpy and scipy
+# keys of each run's manifest, then imports both to print their versions.
+MANIFEST_VERSIONS = (
+    "import json, sys, twisim.cli\n"
+    "seen = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert twisim.cli.main(argv) == 0\n"
+    "    manifest = json.loads(open(argv[-1] + '.manifest.json').read())\n"
+    "    seen.append({key: manifest[key] for key in ('numpy', 'scipy') if key in manifest})\n"
+    "import numpy, scipy\n"
+    "print(json.dumps([seen, numpy.__version__, scipy.__version__]))\n"
+)
+
+
+def test_a_manifest_names_numpy_and_scipy_where_the_process_loaded_them(tmp_path):
+    # read at each write: a run that loads neither package does not record
+    # them, and a later run in the same process that loads one does
+    receiver = {"op": "expected_cv_two_input", "t_s": 0.05, "tau_s": 0.01, "tau_a": 0.02, "w": 0.1}
+    configs = {
+        "constant": ("analytic", {"kind": "analytic", "params": {**receiver, "model": MODELS[0]}}),
+        "exponential": ("analytic", {"kind": "analytic", "params": {**receiver, "model": MODELS[2]}}),
+        "chain": ("simulate", CHAIN_CFG),
+    }
+    runs = {
+        name: [command, write_cfg(tmp_path, obj, f"{name}.json"), "--out", str(tmp_path / f"{name}.csv")]
+        for name, (command, obj) in configs.items()
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(twisim.__file__).resolve().parents[1])}
+
+    def manifests(*names):
+        argv = [sys.executable, "-c", MANIFEST_VERSIONS, json.dumps([runs[name] for name in names])]
+        return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout)
+
+    [seen], numpy_version, scipy_version = manifests("constant")
+    assert seen == {}
+    assert manifests("exponential")[0] == [{"numpy": numpy_version, "scipy": scipy_version}]
+    assert manifests("constant", "chain")[0] == [{}, {"numpy": numpy_version}]
 
 
 @pytest.mark.parametrize(
