@@ -7,11 +7,12 @@ returns integer tallies, which ``_map_chunks`` sums in chunk order, so
 estimates are bit-identical for any thread count.  The calling thread runs
 chunks beside plain helper threads, one worker per usable CPU at most, and
 each worker sets NumPy to raise on overflow once, for all its chunks.
-Every chain estimate counts through ``chain_tallies`` over a list of
-windows: W = 0 counts raw inversions, W > 0 stamps only the inverted pairs,
-and chains and fan-outs share one too-small-window check,
-``_check_window``.  A W = 0 chain whose inputs all have atoms counts its
-inversions from which atom each input took, with no arrival times.
+Every estimate counts through ``chain_tallies`` over a list of windows:
+W = 0 counts raw inversions, and W > 0 stamps only the inverted pairs.  A
+fan-out is the two-column chain (latest, earliest) of each trial's
+arrivals, stamped out of order exactly when its N stamps differ.  A W = 0
+chain whose inputs all have atoms counts its inversions from which atom
+each input took, with no arrival times.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def _check_inputs(inputs: Sequence[ScenarioInput]) -> None:
             continue
         if inp.sensor_id in seen:
             raise ParameterError(
-                f"sensor id {_shown(inp.sensor_id)} used by two inputs; chain inputs "
-                "must come from distinct sensors"
+                f"sensor id {_shown(inp.sensor_id)} used by two inputs; a scenario's "
+                "inputs must not share a sensor_id"
             )
         seen.add(inp.sensor_id)
 
@@ -226,12 +227,6 @@ def _atom_inversions(
     return inverted
 
 
-def _offset_fractions(rng: np.random.Generator, count: int, random_offset: bool) -> Optional[np.ndarray]:
-    """One offset fraction per trial when a window has a random offset, else
-    None.  They are a chunk's last draws, so skipping them changes no other."""
-    return rng.random(count) if random_offset else None
-
-
 def _check_window(top: float, w: float) -> None:
     """A window so small that the largest stamped |time| over W overflows is
     a ParameterError: every stamp would be inf, and all inf stamps compare
@@ -240,16 +235,12 @@ def _check_window(top: float, w: float) -> None:
         raise ParameterError(f"window {w} is too small relative to the arrival times")
 
 
-def _stamps(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
-    """Stamps of (trials, N) arrivals t, whose window ``_check_window`` has
-    passed; a random offset is u * W per trial."""
-    offset = u[:, None] * twi.window if twi.random_offset else float(twi.offset)
-    return stamp_array(t, twi.window, offset)
-
-
 def _ordered_pairs(t: np.ndarray, u: Optional[np.ndarray], twi: TwiSpec) -> np.ndarray:
-    """Boolean (trials, N-1) matrix: adjacent pair in stamped order."""
-    stamps = _stamps(t, u, twi)
+    """Boolean (trials, N-1) matrix: adjacent pair in stamped order, for
+    (trials, N) arrivals t whose window ``_check_window`` has passed; a
+    random offset is u * W per trial."""
+    offset = u[:, None] * twi.window if twi.random_offset else float(twi.offset)
+    stamps = stamp_array(t, twi.window, offset)
     return stamps[:, 1:] >= stamps[:, :-1]
 
 
@@ -318,21 +309,31 @@ def _map_chunks(fn, trials: int, threads: int) -> list[int]:
 
 
 def chain_tallies(
-    s: CausalChainScenario, twis: Sequence[TwiSpec], trials: int, seed: RandomSeed, threads: int = 1
+    s: Union[CausalChainScenario, FanOutScenario],
+    twis: Sequence[TwiSpec],
+    trials: int,
+    seed: RandomSeed,
+    threads: int = 1,
 ) -> list[list[int]]:
     """For each window of ``twis``, all on the same draws: [joint, pair_1,
     ..., pair_{N-1}], the number of trials whose stamps keep every adjacent
-    pair in order, then the number that keep each pair.
+    pair in order, then the number that keep each pair.  A fan-out is the
+    two-column chain (latest, earliest) of each trial's arrivals, so its
+    [joint, pair_1] both count the trials whose N stamps are all equal.
 
     The window rule is monotone in t, so only a raw-inverted pair can be
-    stamped out of order.  Each chunk finds those pairs once: W = 0 counts
-    them, and W > 0 stamps only them, on times anchored once per chunk.
-    When every window is W = 0 and every input has atoms, the inversions
-    come from the inputs' atom picks, on the same draws, and no arrival
-    time is formed."""
+    stamped out of order, and a fan-out's earliest stamp is never above its
+    latest.  Each chunk finds those pairs once: W = 0 counts them, and W > 0
+    stamps only them, on times anchored once per chunk.  When every window
+    is W = 0 and every input of a chain has atoms, the inversions come from
+    the inputs' atom picks, on the same draws, and no arrival time is
+    formed."""
+    fan_out = isinstance(s, FanOutScenario)
+    n = 2 if fan_out else s.n
+    anchored = not fan_out and s.anchor_first_arrival
     random_offset = any(twi.random_offset for twi in twis)
     windowed = any(twi.window > 0.0 for twi in twis)
-    forms = None if windowed else _inversion_forms(s)
+    forms = None if windowed or fan_out else _inversion_forms(s)
     # one float64 column per thread that runs chunks, the calling thread
     # among them, reused across its chunks; tallies are summed in chunk order
     # whichever thread ran them.  A new column per chunk cost about a tenth
@@ -347,17 +348,20 @@ def chain_tallies(
             inverted = _atom_inversions(s, forms, rng, scratch.column[:count])
         else:
             t = _chain_arrivals(s, rng, count)
-            u = _offset_fractions(rng, count, random_offset)
+            if fan_out:
+                t = np.array((t.max(axis=1), t.min(axis=1))).T  # input-major too
+            # a chunk's last draws, so skipping them changes no other
+            u = rng.random(count) if random_offset else None
             inverted = t[:, 1:] < t[:, :-1]
         if windowed:
-            a = t - t[:, :1] if s.anchor_first_arrival else t
+            a = t - t[:, :1] if anchored else t
             # the largest |time| stamped: anchored times can be < 0, arrivals not
-            top = float(max(a.max(), -a.min()) if s.anchor_first_arrival else a.max())
+            top = float(max(a.max(), -a.min()) if anchored else a.max())
             k = np.flatnonzero(inverted.T)  # pair-major: i * count + r
             rows, flat = k % count, a.ravel(order="F")  # a[r, i] is flat[i * count + r]
             pairs = np.array((flat[k], flat[k + count])).T
             u = None if u is None else u[rows]
-            edges = np.searchsorted(k, np.arange(s.n) * count)  # where each pair starts in k
+            edges = np.searchsorted(k, np.arange(n) * count)  # where each pair starts in k
         tallies = []
         for twi in twis:
             if twi.window == 0.0:
@@ -375,7 +379,7 @@ def chain_tallies(
         return tallies
 
     flat = _map_chunks(work, trials, threads)
-    return [flat[j : j + s.n] for j in range(0, len(flat), s.n)]
+    return [flat[j : j + n] for j in range(0, len(flat), n)]
 
 
 def estimate_chain(
@@ -426,22 +430,12 @@ def estimate_sim_violation(
     s: FanOutScenario, twi: TwiSpec, trials: int, seed: RandomSeed, threads: int = 1
 ) -> ViolationEstimate:
     """Probability that the N perceptions of one event get differing
-    timestamps (raw-time inequality when W = 0).  Only each trial's earliest
-    and latest arrival are stamped: the window rule is monotone in t, so the
-    stamps differ iff those two do."""
-
-    def work(c: int, count: int):
-        rng = chunk_rng(seed, c)
-        t = _chain_arrivals(s, rng, count)
-        ends = np.empty((count, 2), order="F")
-        t.min(axis=1, out=ends[:, 0])
-        t.max(axis=1, out=ends[:, 1])
-        _check_window(float(ends[:, 1].max()), twi.window)
-        stamps = _stamps(ends, _offset_fractions(rng, count, twi.random_offset), twi)
-        return [np.count_nonzero(stamps[:, 0] != stamps[:, 1])]
-
-    (violations,) = _map_chunks(work, trials, threads)
-    return _make_estimate(violations, trials, seed)
+    timestamps (raw-time inequality when W = 0).  ``chain_tallies`` counts
+    the fan-out as the two-column chain (latest, earliest): the window rule
+    is monotone in t, so the N stamps differ iff that pair is stamped out of
+    order, and at W = 0 iff the earliest arrival is below the latest."""
+    [[joint, _]] = chain_tallies(s, [twi], trials, seed, threads)
+    return _make_estimate(trials - joint, trials, seed)
 
 
 def estimate_cv_two_input(

@@ -740,6 +740,15 @@ def test_a_long_sensor_id_used_twice_exits_2_quoting_it_in_short(tmp_path, capsy
     assert len(err.encode()) < 300
 
 
+def test_a_fanout_whose_sensors_share_an_id_exits_2_naming_the_rule(tmp_path, capsys):
+    inputs = [{"type": "sensor", "t_s": t_s, "sensor_id": "a"} for t_s in (0.01, 0.02)]
+    cfg = {"kind": "fanout_sim", "trials": 100, "scenario": {"inputs": inputs}}
+    assert main(["simulate", write_cfg(tmp_path, cfg, "config.json")]) == 2
+    assert capsys.readouterr().err.endswith(
+        "config.json.scenario: sensor id 'a' used by two inputs; a scenario's inputs must not share a sensor_id\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, cfg, path, message",
     [

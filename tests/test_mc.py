@@ -614,6 +614,24 @@ def test_only_w0_chains_of_atomic_inputs_skip_the_arrival_times(monkeypatch):
     assert _arrival_draws(monkeypatch, continuous, [TwiSpec(0.0)]) == 1
 
 
+@pytest.mark.parametrize(
+    "twi", [TwiSpec(0.5, offset=0.2), TwiSpec(0.5, offset=None), TwiSpec(0.0)], ids=["fixed", "random", "w0"]
+)
+def test_a_fanout_is_stamped_through_ordered_pairs_exactly_when_w_is_above_0(monkeypatch, twi):
+    calls = []
+    ordered_pairs = mc._ordered_pairs
+
+    def recording(t, u, spec):
+        calls.append((t.shape[1], u is None, spec))
+        return ordered_pairs(t, u, spec)
+
+    monkeypatch.setattr(mc, "_ordered_pairs", recording)
+    fanout = FanOutScenario((SYNC_SENSOR, ScenarioInput(UniformRange(0.0, 1.0)), ASYNC_SENSOR))
+    estimate_sim_violation(fanout, twi, 100, seed=1)
+    # one chunk, stamped as the pair (latest, earliest)
+    assert calls == ([(2, not twi.random_offset, twi)] if twi.window > 0 else [])
+
+
 @given(
     inputs=st.lists(chain_inputs, min_size=1, max_size=6),
     twi=windows,
@@ -631,7 +649,8 @@ def test_fanout_stamped_at_its_extremes_counts_as_stamped_densely(inputs, twi, t
         for c, count in mc._chunk_ranges(trials):
             rng = chunk_rng(seed, c)
             t = _chain_arrivals(s, rng, count)
-            stamps = mc._stamps(t, rng.random(count) if twi.random_offset else None, twi)
+            offset = rng.random(count)[:, None] * twi.window if twi.random_offset else twi.offset
+            stamps = stamp_array(t, twi.window, offset)
             dense += np.count_nonzero((stamps != stamps[:, :1]).any(axis=1))
     assert est == mc._make_estimate(dense, trials, seed)
 
